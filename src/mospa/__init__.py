@@ -49,6 +49,7 @@ from .states import (
 from .transport import (
     IdentityReport,
     TransportPlan,
+    TransportSolution,
     coupling_cost,
     solve_transport,
     verify_mospa_wasserstein,
@@ -73,6 +74,7 @@ __all__ = [
     "ScenarioParseError",
     "StackedState",
     "TransportPlan",
+    "TransportSolution",
     "UnsupportedMetricError",
     "WeightedSites",
     "bisector",

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import CapacityError
-from .quadform import batch_block_cost_matrices, block_cost_matrix, target_block_forms
+from .quadform import batch_block_cost_matrices, target_block_forms
 from .states import (
     MAX_TARGETS,
     Permutation,
@@ -137,7 +137,7 @@ def optimal_permutation(x: StackedState, x_hat: StackedState, q=None) -> tuple[P
     """
     _check_compatible(x, x_hat)
     forms = _forms_for(x, q)
-    c = block_cost_matrix(x.blocks(), x_hat.blocks(), forms)
+    c = batch_block_cost_matrices(x.data[None], x_hat.blocks(), forms)[0]
     mapping, total = _solve_square(c)
     return Permutation(mapping), total
 

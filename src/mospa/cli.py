@@ -7,7 +7,8 @@ only, and every output file embeds the scenario digest and effective seed on
 a leading comment line, so repeated runs with the same seed are byte
 identical.
 
-Exit codes: 0 success, 1 validation failure, 2 verification failure, 64 usage.
+Exit codes: 0 success, 1 validation failure, 2 verification or solver
+failure, 64 usage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    subcommand: str
-    digest: str
-    seed: int
-    timing_ms: float
-    payload: dict
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -78,6 +69,15 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _json_sibling(path: Path) -> Path:
     return path.with_suffix(".json") if path.suffix == ".csv" else Path(str(path) + ".json")
+
+
+def _write_report(out: Path, name: str, digest: str, scenario: Scenario, row: dict,
+                  passed: bool) -> int:
+    """One-row CSV of row plus its JSON sibling; returns the exit code."""
+    _write_csv(out, _comment(name, digest, scenario), list(row), [tuple(row.values())])
+    _write_json(_json_sibling(out), {"scenario_digest": digest, "seed": scenario.seed,
+                                     **row, "passed": passed})
+    return 0 if passed else 2
 
 
 def _parse_x_hat(args, scenario: Scenario) -> StackedState:
@@ -181,23 +181,10 @@ def _cmd_verify(args, scenario, digest, out: Path):
     q = _resolve_q(args, scenario)
     report = verify_mospa_wasserstein(scenario, x_hat, mode=args.mode,
                                       m=scenario.sample_count, q=q)
-    _write_csv(out, _comment("verify", digest, scenario),
-               ["mospa_value", "w2_squared", "abs_diff", "rel_diff", "mode",
-                "tolerance", "passed"],
-               [(report.mospa_value, report.w2_squared, report.abs_diff,
-                 report.rel_diff, report.mode, report.tolerance, report.passed)])
-    _write_json(_json_sibling(out), {
-        "scenario_digest": digest,
-        "seed": scenario.seed,
-        "mospa_value": report.mospa_value,
-        "w2_squared": report.w2_squared,
-        "abs_diff": report.abs_diff,
-        "rel_diff": report.rel_diff,
-        "mode": report.mode,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-    })
-    return (0 if report.passed else 2), {"passed": report.passed}
+    row = {name: getattr(report, name) for name in (
+        "mospa_value", "w2_squared", "abs_diff", "rel_diff", "mode", "tolerance", "passed")}
+    code = _write_report(out, "verify", digest, scenario, row, report.passed)
+    return code, {"passed": report.passed}
 
 
 def _cmd_prop1(args, scenario, digest, out: Path):
@@ -205,16 +192,10 @@ def _cmd_prop1(args, scenario, digest, out: Path):
     q = _resolve_q(args, scenario)
     samples = _sample(scenario)
     agreement = cells_match_regions(x_hat, samples, q)
-    _write_csv(out, _comment("prop1", digest, scenario),
-               ["agreement", "sample_count"], [(agreement, len(samples))])
-    _write_json(_json_sibling(out), {
-        "scenario_digest": digest,
-        "seed": scenario.seed,
-        "agreement": agreement,
-        "sample_count": len(samples),
-        "passed": agreement == 1.0,
-    })
-    return (0 if agreement == 1.0 else 2), {"agreement": agreement}
+    code = _write_report(out, "prop1", digest, scenario,
+                         {"agreement": agreement, "sample_count": len(samples)},
+                         agreement == 1.0)
+    return code, {"agreement": agreement}
 
 
 def _cmd_voronoi(args, scenario, digest, out: Path):
@@ -297,11 +278,13 @@ def run(argv=None) -> int:
     except (ScenarioParseError, ValueError, np.linalg.LinAlgError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    report = RunReport(args.subcommand, digest, scenario.seed,
-                       (time.perf_counter() - started) * 1e3, payload)
-    summary = " ".join(f"{k}={v}" for k, v in report.payload.items())
-    print(f"{report.subcommand}: wrote {args.output} in {report.timing_ms:.1f} ms "
-          f"[digest {report.digest[:12]} seed {report.seed}] {summary}", file=sys.stderr)
+    except RuntimeError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
+    summary = " ".join(f"{k}={v}" for k, v in payload.items())
+    print(f"{args.subcommand}: wrote {args.output} in "
+          f"{(time.perf_counter() - started) * 1e3:.1f} ms "
+          f"[digest {digest[:12]} seed {scenario.seed}] {summary}", file=sys.stderr)
     return code
 
 

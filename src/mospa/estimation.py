@@ -102,7 +102,7 @@ def _alignment_pass(points, weights, atoms, q, want_best=True):
     obj = 0.0
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
-        costs = point_cost_matrix(points[lo:hi], atoms, q, chunk=_CHUNK)
+        costs = point_cost_matrix(points[lo:hi], atoms, q)
         mins = costs.min(axis=1)
         if want_best:
             best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic

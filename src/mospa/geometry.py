@@ -109,11 +109,11 @@ def bisector(p_i, p_j, w_i: float, w_j: float, q=None) -> Hyperplane:
 
 
 def cells_match_regions(x_hat: StackedState, samples: EmpiricalMeasure, q=None,
-                        site_weights=None, tie_band: float = TIE_BAND) -> float:
+                        site_weights=None) -> float:
     """Fraction of samples classified identically by the power diagram over
     the permuted estimates and by the assignment-based region labels.
 
-    Samples within tie_band of a cost tie (under either the weighted or the
+    Samples within TIE_BAND of a cost tie (under either the weighted or the
     unweighted costs) are excluded from the fraction; with equal weights the
     remaining agreement is expected to be exactly 1.0.
     """
@@ -129,7 +129,7 @@ def cells_match_regions(x_hat: StackedState, samples: EmpiricalMeasure, q=None,
     margin = part[:, 1] - part[:, 0]
     zero_costs = costs - sites.weights[None, :]
     zpart = np.partition(zero_costs, 1, axis=1)
-    keep = (margin > tie_band) & (zpart[:, 1] - zpart[:, 0] > tie_band)
+    keep = (margin > TIE_BAND) & (zpart[:, 1] - zpart[:, 0] > TIE_BAND)
     if not np.any(keep):
         return 1.0
     region = batch_region_ranks(samples.points[keep], x_hat, q)

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import UnsupportedMetricError
 
+_CHUNK_ROWS = 1 << 16
+
 
 def validate_spd(q, dim: int, name: str = "q") -> np.ndarray:
     """Check symmetry and positive definiteness; returns the validated array."""
@@ -53,23 +55,12 @@ def target_block_forms(q, n_targets: int, state_dim: int) -> np.ndarray:
     return np.ascontiguousarray(blocks4[diag_idx, :, diag_idx, :])
 
 
-def block_cost_matrix(x_blocks: np.ndarray, y_blocks: np.ndarray, forms=None) -> np.ndarray:
-    """(N, N) matrix of squared distances between target blocks.
-
-    Entry [i, j] is the (slot-i-weighted) squared distance between block i of
-    the state and block j of the estimate.
-    """
-    diff = x_blocks[:, None, :] - y_blocks[None, :, :]
-    if forms is None:
-        c = np.einsum("ijk,ijk->ij", diff, diff)
-    else:
-        s = np.einsum("ikl,ijl->ijk", forms, diff)
-        c = np.einsum("ijk,ijk->ij", diff, s)
-    return np.maximum(c, 0.0)
-
-
 def batch_block_cost_matrices(points: np.ndarray, y_blocks: np.ndarray, forms=None) -> np.ndarray:
-    """(m, N, N) stack of block cost matrices for m stacked points."""
+    """(m, N, N) stack of block cost matrices for m stacked points.
+
+    Entry [s, i, j] is the (slot-i-weighted) squared distance between block i
+    of point s and block j of the estimate.
+    """
     n, d = y_blocks.shape
     xb = points.reshape(points.shape[0], n, d)
     diff = xb[:, :, None, :] - y_blocks[None, None, :, :]
@@ -81,8 +72,7 @@ def batch_block_cost_matrices(points: np.ndarray, y_blocks: np.ndarray, forms=No
     return np.maximum(c, 0.0)
 
 
-def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None,
-                      chunk: int = 1 << 16) -> np.ndarray:
+def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
     """(m, k) squared (Q-weighted) Euclidean distances, chunked over m.
 
     Fixed chunk boundaries keep the reduction order independent of memory
@@ -91,8 +81,8 @@ def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None,
     m = points.shape[0]
     k = targets.shape[0]
     out = np.empty((m, k))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
+    for lo in range(0, m, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, m)
         diff = points[lo:hi, None, :] - targets[None, :, :]
         if q is None:
             out[lo:hi] = np.einsum("mkd,mkd->mk", diff, diff)
@@ -100,11 +90,3 @@ def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None,
             s = np.einsum("de,mke->mkd", q, diff)
             out[lo:hi] = np.einsum("mkd,mkd->mk", diff, s)
     return np.maximum(out, 0.0)
-
-
-def point_quadratic(diff: np.ndarray, q=None) -> np.ndarray:
-    """Squared (Q-weighted) norm along the last axis."""
-    if q is None:
-        return np.maximum(np.einsum("...d,...d->...", diff, diff), 0.0)
-    s = np.einsum("de,...e->...d", q, diff)
-    return np.maximum(np.einsum("...d,...d->...", diff, s), 0.0)

@@ -70,6 +70,20 @@ def _as_int(value, path: str, minimum: int) -> int:
     return value
 
 
+def _finite(value, path: str, shape: tuple, what: str) -> np.ndarray:
+    """JSON number(s) of the given shape as floats; strings, bools, nulls and
+    non-finite values are rejected with the field path."""
+    try:
+        arr = np.asarray(value, dtype=object)
+        if arr.shape == shape and all(type(v) in (int, float) for v in arr.flat):
+            out = arr.astype(float)
+            if np.all(np.isfinite(out)):
+                return out
+    except (ValueError, OverflowError):
+        pass
+    raise ScenarioParseError(f"{path} must be {what}")
+
+
 def parse_scenario(path) -> Scenario:
     """Load and validate a scenario file; all measure invariants are checked
     at load time and violations name the offending field."""
@@ -95,15 +109,12 @@ def parse_scenario(path) -> Scenario:
         prefix = f"mixture[{c}]."
         if not isinstance(comp, dict):
             raise ScenarioParseError(f"mixture[{c}] must be an object")
-        weights.append(_require(comp, "weight", prefix))
-        mean = np.asarray(_require(comp, "mean", prefix), dtype=float)
-        if mean.shape != (dim,):
-            raise ScenarioParseError(f"{prefix}mean must have length {dim}")
-        means.append(mean)
-        cov = np.asarray(_require(comp, "cov", prefix), dtype=float)
-        if cov.shape != (dim, dim):
-            raise ScenarioParseError(f"{prefix}cov must be {dim}x{dim}")
-        covs.append(cov)
+        weights.append(float(_finite(_require(comp, "weight", prefix),
+                                     f"{prefix}weight", (), "a finite number")))
+        means.append(_finite(_require(comp, "mean", prefix), f"{prefix}mean", (dim,),
+                             f"a length-{dim} array of finite numbers"))
+        covs.append(_finite(_require(comp, "cov", prefix), f"{prefix}cov", (dim, dim),
+                            f"a {dim}x{dim} array of finite numbers"))
 
     wsum = float(np.sum(weights))
     if abs(wsum - 1.0) > 1e-12:
@@ -115,12 +126,11 @@ def parse_scenario(path) -> Scenario:
 
     q = raw.get("q_matrix")
     if q is not None:
-        q = np.asarray(q, dtype=float)
-        try:
-            validate_spd(q, dim, name="q_matrix")
-        except ValueError as exc:
-            raise ScenarioParseError(str(exc)) from None
-    return Scenario(n_targets, state_dim, mixture, seed, sample_count, q)
+        q = _finite(q, "q_matrix", (dim, dim), f"a {dim}x{dim} array of finite numbers")
+    try:
+        return Scenario(n_targets, state_dim, mixture, seed, sample_count, q)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc)) from None
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -111,12 +111,7 @@ class Permutation:
 
     def rank(self) -> int:
         """Position of this permutation in the lexicographic enumeration."""
-        n = len(self.mapping)
-        r = 0
-        for i in range(n):
-            smaller_later = sum(1 for j in range(i + 1, n) if self.mapping[j] < self.mapping[i])
-            r += smaller_later * math.factorial(n - 1 - i)
-        return r
+        return int(batch_permutation_ranks(np.array([self.mapping], dtype=np.intp))[0])
 
 
 def permutation_apply(pi: Permutation, x: StackedState) -> StackedState:
@@ -130,8 +125,7 @@ def permutation_apply(pi: Permutation, x: StackedState) -> StackedState:
 @lru_cache(maxsize=None)
 def permutation_enumerate(n: int) -> tuple[Permutation, ...]:
     """All n! permutations of {0..n-1} in lexicographic mapping order."""
-    _check_target_count(n)
-    return tuple(Permutation(p) for p in itertools.permutations(range(n)))
+    return tuple(Permutation(p) for p in permutation_array(n).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +157,8 @@ def batch_permutation_ranks(mappings: np.ndarray) -> np.ndarray:
     """Lexicographic ranks of an (m, n) batch of permutation mappings."""
     mappings = np.asarray(mappings)
     m, n = mappings.shape
+    if n > 20:  # 21! - 1 does not fit in int64
+        raise CapacityError(f"ranks of permutations of {n} > 20 elements overflow int64")
     ranks = np.zeros(m, dtype=np.intp)
     for i in range(n):
         smaller_later = (mappings[:, i + 1 :] < mappings[:, i : i + 1]).sum(axis=1)

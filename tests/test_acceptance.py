@@ -234,7 +234,7 @@ def test_criterion_8_conservation_and_order_properties():
         emp = EmpiricalMeasure(2, 1, pts, normalized_weights(rng, 40))
         atoms = rng.normal(size=(5, 2), scale=3)
         nu = DiscreteMeasure(2, 1, atoms, normalized_weights(rng, 5))
-        _, optimal = solve_transport(emp, nu)
+        optimal = solve_transport(emp, nu).cost
         for _ in range(100):
             plan = TransportPlan(random_feasible_plan(emp.weights, nu.masses, rng),
                                  emp.weights, nu.masses)

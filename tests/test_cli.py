@@ -161,6 +161,49 @@ def test_exit_2_on_verification_failure(monkeypatch, tmp_path):
     assert json.loads((tmp_path / "fail.json").read_text())["passed"] is False
 
 
+def _simplex_pivot_limit(monkeypatch):
+    import mospa.transport as transport
+
+    def stuck(cost, a, b):
+        raise RuntimeError("transportation simplex exceeded 1000 pivots")
+
+    monkeypatch.setattr(transport, "_transportation_simplex", stuck)
+    return ["wasserstein", "--x-hat=-4,3"], "exceeded"
+
+
+def _shifted_duals(monkeypatch):
+    import mospa.transport as transport
+
+    solve = transport._transportation_simplex
+
+    def shifted(cost, a, b):
+        flows, u, v, pivots = solve(cost, a, b)
+        return flows, u + 1.0, v, pivots
+
+    monkeypatch.setattr(transport, "_transportation_simplex", shifted)
+    return ["verify", "--x-hat=-4,3", "--mode", "independent"], "certificate"
+
+
+def _nonfinite_mmospa(monkeypatch):
+    import mospa.estimation as estimation
+
+    monkeypatch.setattr(estimation, "_lloyd_run",
+                        lambda points, weights, x0, *rest: (x0, float("nan"), [], 0, False))
+    return ["mmospa"], "non-finite"
+
+
+@pytest.mark.parametrize("fault", [_simplex_pivot_limit, _shifted_duals, _nonfinite_mmospa])
+def test_exit_2_on_solver_error(fault, monkeypatch, tmp_path, capsys):
+    import mospa.cli as cli
+
+    argv, message = fault(monkeypatch)
+    code = cli.run([argv[0], "--scenario", FIG, *argv[1:], "--samples", "200",
+                    "--output", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and message in err
+
+
 def test_seed_override_changes_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["mospa", "--scenario", FIG, "--x-hat=-4,3", "--samples", "200",

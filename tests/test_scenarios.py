@@ -65,6 +65,33 @@ def test_bad_q_matrix_rejected(tmp_path):
         parse_scenario(write_scenario(tmp_path, bad))
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("weight", "a", r"mixture\[0\]\.weight"),
+    ("weight", None, r"mixture\[0\]\.weight"),
+    ("weight", True, r"mixture\[0\]\.weight"),
+    ("weight", float("nan"), r"mixture\[0\]\.weight"),
+    ("mean", ["x"], r"mixture\[0\]\.mean"),
+    ("mean", [float("nan")], r"mixture\[0\]\.mean"),
+    ("mean", [False], r"mixture\[0\]\.mean"),
+    ("mean", [0.0, 1.0], r"mixture\[0\]\.mean"),
+    ("cov", [[float("inf")]], r"mixture\[0\]\.cov"),
+    ("cov", [[None]], r"mixture\[0\]\.cov"),
+    ("cov", [["1"]], r"mixture\[0\]\.cov"),
+    ("q_matrix", [["a"]], "q_matrix"),
+    ("q_matrix", {"a": 1}, "q_matrix"),
+    ("q_matrix", [["1"]], "q_matrix"),
+    ("q_matrix", [[1.0, 0.0]], "q_matrix"),
+])
+def test_malformed_field_names_its_path(tmp_path, field, value, path):
+    bad = json.loads(json.dumps(MINIMAL))
+    if field == "q_matrix":
+        bad[field] = value
+    else:
+        bad["mixture"][0][field] = value
+    with pytest.raises(ScenarioParseError, match=path):
+        parse_scenario(write_scenario(tmp_path, bad))
+
+
 def test_fig_scenario_parses():
     scen = parse_scenario(SCENARIO_DIR / "fig1.json")
     assert scen.dim == 2

@@ -92,6 +92,12 @@ def test_inverse_and_rank_roundtrip():
     assert np.array_equal(ranks, np.arange(24))
 
 
+def test_rank_refuses_int64_overflow():
+    assert Permutation(tuple(range(20))[::-1]).rank() == math.factorial(20) - 1
+    with pytest.raises(CapacityError):
+        Permutation(tuple(range(21))).rank()
+
+
 def test_permuted_atoms_matches_apply():
     x = StackedState(3, 2, np.arange(6.0))
     atoms = permuted_atoms(x)

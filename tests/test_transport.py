@@ -141,7 +141,8 @@ def test_transport_self_coupling_is_free():
     pts = rng.normal(size=(30, 2))
     emp = EmpiricalMeasure(1, 2, pts, np.full(30, 1 / 30))
     nu = DiscreteMeasure(1, 2, pts, np.full(30, 1 / 30))
-    plan, cost = solve_transport(emp, nu)
+    sol = solve_transport(emp, nu)
+    plan, cost = sol.plan, sol.cost
     assert cost <= 1e-12
     assert np.allclose(plan.flows, np.diag(np.full(30, 1 / 30)), atol=1e-12)
 
@@ -149,7 +150,8 @@ def test_transport_self_coupling_is_free():
 def test_transport_forced_plan():
     emp = EmpiricalMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.5])
     nu = DiscreteMeasure(1, 1, [[0.5]], [1.0])
-    plan, cost = solve_transport(emp, nu)
+    sol = solve_transport(emp, nu)
+    plan, cost = sol.plan, sol.cost
     assert cost == pytest.approx(0.25, abs=1e-15)
     assert np.allclose(plan.flows, [[0.5], [0.5]])
 
@@ -190,7 +192,8 @@ def test_coupling_cost_of_optimal_plan_matches_solver():
     emp = gm_sample(mix, seed=3, m=200)
     x_hat = random_x_hat(rng, 2, 1)
     nu = build_region_measure(x_hat, estimate_region_masses(emp, x_hat))
-    plan, cost = solve_transport(emp, nu)
+    sol = solve_transport(emp, nu)
+    plan, cost = sol.plan, sol.cost
     assert coupling_cost(plan, emp, nu) == cost
 
 
@@ -200,7 +203,7 @@ def test_product_coupling_never_beats_optimum():
     emp = gm_sample(mix, seed=4, m=60)
     x_hat = random_x_hat(rng, 2, 1)
     nu = build_region_measure(x_hat, estimate_region_masses(emp, x_hat))
-    _, optimal = solve_transport(emp, nu)
+    optimal = solve_transport(emp, nu).cost
     product = TransportPlan(np.outer(emp.weights, nu.masses), emp.weights, nu.masses)
     assert coupling_cost(product, emp, nu) >= optimal - 1e-9
 
@@ -211,7 +214,7 @@ def test_random_feasible_plans_respect_weak_duality():
     emp = EmpiricalMeasure(2, 1, pts, normalized_weights(rng, 25))
     atoms = rng.normal(size=(6, 2), scale=3)
     nu = DiscreteMeasure(2, 1, atoms, normalized_weights(rng, 6))
-    _, optimal = solve_transport(emp, nu)
+    optimal = solve_transport(emp, nu).cost
     for _ in range(100):
         flows = random_feasible_plan(emp.weights, nu.masses, rng)
         plan = TransportPlan(flows, emp.weights, nu.masses)
@@ -282,3 +285,42 @@ def test_verify_rejects_unknown_mode(fig_mixture, fig_x_hat):
     scen = Scenario(2, 1, fig_mixture, seed=1, sample_count=100)
     with pytest.raises(ValueError):
         verify_mospa_wasserstein(scen, fig_x_hat, mode="bootstrap")
+
+
+def test_solution_potentials_certify_optimality():
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(40, 2), scale=3)
+    emp = EmpiricalMeasure(2, 1, pts, normalized_weights(rng, 40))
+    atoms = rng.normal(size=(6, 2), scale=3)
+    masses = normalized_weights(rng, 6)
+    masses[0] += masses[2]
+    masses[2] = 0.0  # dropped before the solve
+    nu = DiscreteMeasure(2, 1, atoms, masses)
+    sol = solve_transport(emp, nu)
+    assert isinstance(sol.pivots, int) and sol.pivots >= 0
+    u, v = sol.source_potentials, sol.sink_potentials
+    assert u.shape == (40,) and v.shape == (6,)
+    assert np.isnan(v[2]) and np.all(np.isfinite(np.delete(v, 2)))
+    keep = masses > 0
+    cost = ((pts[:, None, :] - atoms[None, keep, :]) ** 2).sum(axis=2)
+    assert (cost - u[:, None] - v[None, keep]).min() >= -1e-9
+    dual = float(emp.weights @ u + masses[keep] @ v[keep])
+    assert abs(dual - sol.cost) <= 1e-9 * max(1.0, sol.cost)
+    assert sol.cost == pytest.approx(linprog_transport_cost(cost, emp.weights, masses[keep]),
+                                     rel=1e-9)
+
+
+def test_independent_verify_checks_the_certificate(monkeypatch, fig_mixture, fig_x_hat):
+    import mospa.transport as transport
+
+    solve = transport._transportation_simplex
+
+    def shifted_duals(cost, a, b):
+        flows, u, v, pivots = solve(cost, a, b)
+        return flows, u + 1.0, v, pivots
+
+    scen = Scenario(2, 1, fig_mixture, seed=20, sample_count=500)
+    assert verify_mospa_wasserstein(scen, fig_x_hat, mode="independent").passed
+    monkeypatch.setattr(transport, "_transportation_simplex", shifted_duals)
+    with pytest.raises(RuntimeError, match="certificate"):
+        verify_mospa_wasserstein(scen, fig_x_hat, mode="independent")
