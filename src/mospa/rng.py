@@ -31,17 +31,21 @@ def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     return x
 
 
+# streams are keyed on 64 bits: a larger seed would alias seed & MAX_SEED
+MAX_SEED = 0xFFFF_FFFF_FFFF_FFFF
+
+
 def derive_seed(seed: int, *path: int) -> int:
     """Fold a sequence of stream labels into a sub-seed, deterministically."""
-    h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    h = np.uint64(seed & MAX_SEED)
     with np.errstate(over="ignore"):
         for p in path:
-            h = _mix64(h ^ (np.uint64(p & 0xFFFFFFFFFFFFFFFF) * _STREAM))
+            h = _mix64(h ^ (np.uint64(p & MAX_SEED) * _STREAM))
     return int(h)
 
 
 def _keyed_words(seed: int, index: np.ndarray, draw: int) -> np.ndarray:
-    base = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    base = _mix64(np.uint64(seed & MAX_SEED))
     with np.errstate(over="ignore"):
         counters = base + index.astype(np.uint64) * _STREAM + np.uint64(draw) * _DRAW
     return _mix64(counters)

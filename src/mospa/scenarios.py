@@ -2,7 +2,7 @@
 
 Schema (UTF-8 JSON object):
     n_targets: int >= 1        state_dim: int >= 1
-    seed: int >= 0             sample_count: int >= 1
+    seed: int in [0, 2**64)    sample_count: int >= 1
     mixture: [{"weight": w, "mean": [...], "cov": [[...]]}, ...]
     q_matrix: [[...]]          (optional, symmetric positive definite)
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import rng
 from .measures import GaussianMixture
 from .quadform import validate_spd
 
@@ -35,8 +36,8 @@ class Scenario:
     def __post_init__(self):
         if (self.mixture.n_targets, self.mixture.state_dim) != (self.n_targets, self.state_dim):
             raise ValueError("mixture dimensions do not match the scenario")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= self.seed <= rng.MAX_SEED:
+            raise ValueError("seed must be an integer in [0, 2**64 - 1]")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
         if self.q_matrix is not None:
@@ -116,9 +117,6 @@ def parse_scenario(path) -> Scenario:
         covs.append(_finite(_require(comp, "cov", prefix), f"{prefix}cov", (dim, dim),
                             f"a {dim}x{dim} array of finite numbers"))
 
-    wsum = float(np.sum(weights))
-    if abs(wsum - 1.0) > 1e-12:
-        raise ScenarioParseError(f"mixture.weights sum to {wsum!r}, expected 1 within 1e-12")
     try:
         mixture = GaussianMixture(n_targets, state_dim, np.asarray(weights), means, covs)
     except (ValueError, np.linalg.LinAlgError) as exc:

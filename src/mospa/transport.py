@@ -1,9 +1,10 @@
 """Exact discrete optimal transport and the MOSPA/Wasserstein identity check.
 
 solve_transport runs a primal transportation simplex on the dense bipartite
-instance: greedy capacity-respecting initialization, Dantzig entering rule
-with potentials recomputed from the basis tree, and randomized marginal
-perturbation against degenerate cycling.  The optimal basis is re-solved
+instance: greedy capacity-respecting initialization, Dantzig entering rule,
+and randomized marginal perturbation against degenerate cycling.  Each pivot
+re-roots only the subtree the leaving arc cuts off, at the entering arc, and
+recomputes the potentials and reduced costs of that subtree's nodes alone.  The optimal basis is re-solved
 against the unperturbed marginals, so the reported plan and cost carry no
 perturbation.  No entropic or otherwise approximate scheme is involved
 anywhere; optimality is certified by the dual gap before returning.
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from . import rng
 from .estimation import mospa_mc
@@ -80,7 +79,10 @@ class TransportSolution:
     source_potentials and sink_potentials are optimal duals u, v with
     u_i + v_j <= c_ij and a @ u + b @ v == cost (to the certificate tolerance).
     A zero-mass sink is dropped before the solve, so its potential is NaN.
-    pivots counts simplex pivots after the initial basis.
+    pivots counts simplex pivots after the initial basis.  dual_gap is the
+    certified |primal - dual| and perturbation the size delta of the source
+    marginal bump that the pivoting ran on (the plan itself is re-solved on
+    the exact marginals).
     """
 
     plan: TransportPlan
@@ -88,6 +90,8 @@ class TransportSolution:
     source_potentials: np.ndarray = field(repr=False)
     sink_potentials: np.ndarray = field(repr=False)
     pivots: int
+    dual_gap: float
+    perturbation: float
 
 
 @dataclass(frozen=True)
@@ -181,52 +185,31 @@ def _complete_to_tree(arc_i, arc_j, flow, cost):
     return arc_i, arc_j, flow
 
 
-def _tree_potentials(arc_i, arc_j, cost, m, k):
-    """Node potentials from u_i + v_j = c_ij over the basis tree."""
-    n_nodes = m + k
-    graph = coo_matrix(
-        (np.ones(len(arc_i)), (arc_i, np.asarray(arc_j) + m)), shape=(n_nodes, n_nodes)
-    ).tocsr()
-    order, pred = breadth_first_order(graph, m, directed=False, return_predecessors=True)
-    if order.size != n_nodes:
-        raise RuntimeError("basis graph is not spanning")
-    pred = pred.astype(np.intp)
-    pred[m] = m
-    # depth by chasing predecessors; basis paths alternate source and sink
-    # nodes, so the depth is bounded by ~2*min(m, k)
-    depth = np.zeros(n_nodes, dtype=np.intp)
-    cur = np.arange(n_nodes, dtype=np.intp)
-    for _ in range(n_nodes + 1):
-        active = cur != m
-        if not np.any(active):
-            break
-        depth[active] += 1
-        cur = pred[cur]
-    else:
-        raise RuntimeError("predecessor chain does not terminate at the root")
-    pot = np.zeros(n_nodes)
-    by_depth = np.argsort(depth, kind="stable")
-    depths_sorted = depth[by_depth]
-    lo = int(np.searchsorted(depths_sorted, 1))
-    for lvl in range(1, int(depths_sorted[-1]) + 1):
-        hi = int(np.searchsorted(depths_sorted, lvl + 1))
-        nodes = by_depth[lo:hi]
-        lo = hi
-        parents = pred[nodes]
-        src = nodes < m
-        if np.any(src):
-            ns = nodes[src]
-            pot[ns] = cost[ns, parents[src] - m] - pot[parents[src]]
-        if np.any(~src):
-            nt = nodes[~src]
-            pot[nt] = cost[parents[~src], nt - m] - pot[parents[~src]]
-    return pot[:m], pot[m:], pred
+def _hang(top, adj, pred, pot, cost, m):
+    """Set pred and potentials below `top`, whose own are already set,
+    walking the basis tree top-down away from pred[top]; returns the nodes
+    of the subtree, `top` first.  Each potential follows u_i + v_j = c_ij from
+    its parent, so it depends only on the node's path to the root."""
+    item = cost.item
+    nodes = [top]
+    stack = [top]
+    while stack:
+        x = stack.pop()
+        px = pred[x]
+        pot_x = pot[x]
+        for y in adj[x]:
+            if y != px:
+                pred[y] = x
+                pot[y] = (item(y, x - m) if x >= m else item(x, y - m)) - pot_x
+                nodes.append(y)
+                stack.append(y)
+    return nodes
 
 
 def _path_to_root(node, pred, m):
     path = [node]
     while node != m:
-        node = int(pred[node])
+        node = pred[node]
         path.append(node)
     return path
 
@@ -242,6 +225,12 @@ def _cycle_nodes(enter_i, enter_j, pred, m):
     raise RuntimeError("basis tree has no path between entering endpoints")
 
 
+def _perturbation(a):
+    """Size delta of the marginal bump: source i gains delta * (1 + U_i) with
+    U_i uniform in [0, 1), and the largest sink absorbs the total."""
+    return a.sum() * 1e-11 / (a.size * a.size + 1)
+
+
 def _transportation_simplex(cost, a, b):
     """Exact optimum of the dense transportation LP.
 
@@ -255,9 +244,8 @@ def _transportation_simplex(cost, a, b):
     # randomized marginal perturbation: uniform sample weights make every
     # basis massively degenerate, and distinct pseudo-random increments make
     # tied subset sums (the cycling fuel) measure-zero
-    scale = a.sum()
-    delta = scale * 1e-11 / (m * m + 1)
-    bump = delta * (1.0 + rng.uniforms(_PERTURB_SEED, np.arange(m, dtype=np.uint64), 0))
+    unit = rng.uniforms(_PERTURB_SEED, np.arange(m, dtype=np.uint64), 0)
+    bump = _perturbation(a) * (1.0 + unit)
     a_p = a + bump
     b_p = b.copy()
     b_p[int(np.argmax(b_p))] += a_p.sum() - b_p.sum()
@@ -269,11 +257,29 @@ def _transportation_simplex(cost, a, b):
     flows_b = np.asarray(flow, dtype=float)
     arc_pos = {(int(i), int(j)): p for p, (i, j) in enumerate(zip(arc_i, arc_j))}
 
+    adj: list[list[int]] = [[] for _ in range(m + k)]
+    for i, j in zip(arc_i.tolist(), arc_j.tolist()):
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pred = [m] * (m + k)
+    pot = [0.0] * (m + k)
+    sub = _hang(m, adj, pred, pot, cost, m)
+    if len(sub) != m + k:
+        raise RuntimeError("basis graph is not spanning")
+    reduced = np.empty_like(cost)
+
     max_pivots = 50 * (m + k) + 1000
     pivots = 0
     while True:
-        u, v, pred = _tree_potentials(arc_i, arc_j, cost, m, k)
-        reduced = cost - u[:, None] - v[None, :]
+        # only the rows and columns of the re-hung nodes see new potentials
+        # (all of them on the first pass)
+        sub = np.array(sub)
+        rows = sub[sub < m]
+        cols = sub[sub >= m] - m
+        u = np.array(pot[:m])
+        v = np.array(pot[m:])
+        reduced[rows] = cost[rows] - u[rows, None] - v[None, :]
+        reduced[:, cols] = cost[:, cols] - u[:, None] - v[None, cols]
         reduced[arc_i, arc_j] = 0.0
         flat = int(np.argmin(reduced))
         ei, ej = divmod(flat, k)
@@ -299,12 +305,25 @@ def _transportation_simplex(cost, a, b):
         for p, s in zip(cycle_arcs, signs):
             flows_b[p] += s * theta
         # swap the leaving arc for the entering one, in place
-        leave_key = (int(arc_i[theta_pos]), int(arc_j[theta_pos]))
-        del arc_pos[leave_key]
+        li, lj = int(arc_i[theta_pos]), int(arc_j[theta_pos])
+        del arc_pos[(li, lj)]
         arc_i[theta_pos] = ei
         arc_j[theta_pos] = ej
         flows_b[theta_pos] = theta
         arc_pos[(ei, ej)] = theta_pos
+
+        # the leaving arc cuts off the subtree below it; re-hang that subtree
+        # from the entering arc's endpoint inside it, the entering source when
+        # the leaving arc lies on the source's way up to the cycle's apex
+        t = cycle_arcs.index(theta_pos)
+        top, parent = (ei, m + ej) if pred[nodes[t]] == nodes[t + 1] else (m + ej, ei)
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        pred[top] = parent
+        pot[top] = cost.item(ei, ej) - pot[parent]
+        sub = _hang(top, adj, pred, pot, cost, m)
 
     flows = _resolve_tree_flows(arc_i, arc_j, a, b, m, k)
     return flows, u, v, pivots
@@ -381,7 +400,8 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
 
     total = float(np.sum(flows_kept * cost))
     dual = float(sources.weights @ u + b @ v)
-    if abs(total - dual) > 1e-7 * max(1.0, abs(total)):
+    dual_gap = abs(total - dual)
+    if dual_gap > 1e-7 * max(1.0, abs(total)):
         raise RuntimeError(
             f"optimality certificate failed: primal {total!r} vs dual {dual!r}"
         )
@@ -390,7 +410,8 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
     sink_potentials = np.full(len(sinks), np.nan)
     sink_potentials[keep] = v
     plan = TransportPlan(flows, sources.weights.copy(), sinks.masses.copy())
-    return TransportSolution(plan, total, u, sink_potentials, pivots)
+    return TransportSolution(plan, total, u, sink_potentials, pivots, dual_gap,
+                             _perturbation(sources.weights))
 
 
 def coupling_cost(plan: TransportPlan, sources: EmpiricalMeasure,

@@ -213,6 +213,17 @@ def test_seed_override_changes_output(tmp_path):
     assert a.read_text() != b.read_text()
 
 
+@pytest.mark.parametrize("seed", ["--seed=-1", f"--seed={2**64}"])
+def test_out_of_range_seed_override_exits_1(seed, tmp_path, capsys):
+    import mospa.cli as cli
+
+    code = cli.run(["mospa", "--scenario", FIG, "--x-hat=-4,3", "--samples", "20",
+                    seed, "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "seed" in err
+
+
 def test_byte_identical_reruns_across_thread_counts(tmp_path):
     outputs = []
     for trial, threads in enumerate(("1", "4")):

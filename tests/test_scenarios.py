@@ -41,6 +41,14 @@ def test_weight_sum_violation_names_field(tmp_path):
         parse_scenario(write_scenario(tmp_path, bad))
 
 
+def test_seed_limited_to_64_bits(tmp_path):
+    # the sampler keys on 64 bits, so 2**64 would alias seed 0
+    ok = dict(MINIMAL, seed=2**64 - 1)
+    assert parse_scenario(write_scenario(tmp_path, ok)).seed == 2**64 - 1
+    with pytest.raises(ScenarioParseError, match="seed"):
+        parse_scenario(write_scenario(tmp_path, dict(MINIMAL, seed=2**64)))
+
+
 def test_missing_field_names_path(tmp_path):
     bad = {k: v for k, v in MINIMAL.items() if k != "sample_count"}
     with pytest.raises(ScenarioParseError, match="sample_count"):

@@ -324,3 +324,46 @@ def test_independent_verify_checks_the_certificate(monkeypatch, fig_mixture, fig
     monkeypatch.setattr(transport, "_transportation_simplex", shifted_duals)
     with pytest.raises(RuntimeError, match="certificate"):
         verify_mospa_wasserstein(scen, fig_x_hat, mode="independent")
+
+
+def _same_sample_instance(seed, n, d, m, with_q):
+    rng = np.random.default_rng(seed)
+    mixture = random_mixture(rng, n, d)
+    x_hat = random_x_hat(rng, n, d)
+    q = block_diagonal_q(rng, n, d) if with_q else None
+    emp = gm_sample(mixture, seed, m)
+    return emp, build_region_measure(x_hat, estimate_region_masses(emp, x_hat, q)), q
+
+
+def _duplicate_grid_assignment():
+    # uniform m = k marginals with repeated sources and integer costs: every
+    # basis is degenerate and reduced costs tie exactly
+    rng = np.random.default_rng(23)
+    sources = rng.integers(0, 4, size=(48, 2)).astype(float)
+    sinks = np.stack(np.meshgrid(np.arange(8.0), np.arange(6.0)), axis=-1).reshape(48, 2)
+    uniform = np.full(48, 1 / 48)
+    return (EmpiricalMeasure(1, 2, sources, uniform),
+            DiscreteMeasure(1, 2, sinks, uniform), None)
+
+
+# pivots and cost.hex() recorded from the full-recomputation simplex: the
+# subtree update must follow the same pivot path to the same bits
+@pytest.mark.parametrize("build, pivots, cost_hex", [
+    (lambda: _same_sample_instance(41, 5, 1, 300, False), 59, "0x1.9eaaa5370e49bp+4"),
+    (_duplicate_grid_assignment, 143, "0x1.2c00000000000p+3"),
+    (lambda: _same_sample_instance(45, 4, 2, 300, True), 33, "0x1.1d25d4d914b8dp+7"),
+], ids=["same-sample-n5d1", "duplicate-grid", "q-weighted-n4d2"])
+def test_pivot_path_is_pinned(build, pivots, cost_hex):
+    sources, sinks, q = build()
+    sol = solve_transport(sources, sinks, q)
+    assert (sol.pivots, sol.cost.hex()) == (pivots, cost_hex)
+    keep = sinks.masses > 0
+    diff = sources.points[:, None, :] - sinks.atoms[None, keep, :]
+    qm = np.eye(sources.dim) if q is None else q
+    cost = np.einsum("mki,ij,mkj->mk", diff, qm, diff)
+    tol = 1e-12 * cost.max()
+    slack = cost - sol.source_potentials[:, None] - sol.sink_potentials[None, keep]
+    assert np.abs(slack[sol.plan.flows[:, keep] > 0]).max() <= tol
+    assert slack.min() >= -tol
+    assert 0.0 <= sol.dual_gap <= 1e-7 * max(1.0, sol.cost)
+    assert 0.0 < sol.perturbation <= 1e-11 / len(sources) ** 2
