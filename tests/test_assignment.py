@@ -3,6 +3,7 @@ import pytest
 
 from conftest import block_diagonal_q
 from mospa import (
+    MAX_TARGETS,
     CapacityError,
     StackedState,
     UnsupportedMetricError,
@@ -10,7 +11,7 @@ from mospa import (
     optimal_permutation,
     solve_assignment,
 )
-from mospa.assignment import batch_optimal_permutations
+from mospa.assignment import _subset_dp_assign, batch_optimal_permutations
 
 
 def test_zero_diagonal():
@@ -23,6 +24,17 @@ def test_all_ties_resolve_lexicographically():
     perm, cost = solve_assignment(np.ones((4, 4)))
     assert perm.mapping == (0, 1, 2, 3)
     assert cost == 4.0
+
+
+def test_near_tie_within_tolerance_takes_first_column():
+    # (0, 1) costs 2 + 2**-51 and (1, 0) costs 2: a tie under _TIE_RTOL, so
+    # both routes take column 0 for row 0, where the exact argmin would not
+    c = np.array([[1.0 + 2**-51, 1.0], [1.0, 1.0]])
+    perm, cost = solve_assignment(c)
+    assert perm.mapping == (0, 1) and cost == 2.0 + 2**-51
+    mappings, costs = _subset_dp_assign(c[None])
+    assert tuple(mappings[0]) == (0, 1) and costs[0] == cost
+    assert brute_force_assignment(c)[0].mapping == (1, 0)
 
 
 def test_hand_two_by_two():
@@ -156,4 +168,37 @@ def test_batch_matches_single():
         assert tuple(mappings[i]) == perm.mapping
         assert costs[i] == cost
     _, costs_only = batch_optimal_permutations(points, x_hat, want_mappings=False)
-    assert np.allclose(costs_only, costs, rtol=0, atol=1e-12)
+    assert np.array_equal(costs_only, costs)
+
+
+def test_batch_rejects_malformed_points():
+    x_hat = StackedState(3, 2, np.arange(6.0))
+    good = np.zeros((4, 6))
+    for value in (np.nan, np.inf):
+        points = good.copy()
+        points[2, 5] = value
+        with pytest.raises(ValueError, match="row 2"):
+            batch_optimal_permutations(points, x_hat)
+    for shape in ((4, 5), (4, 7), (6,), (2, 3, 2)):
+        with pytest.raises(ValueError, match=r"shape \(m, 6\)"):
+            batch_optimal_permutations(np.zeros(shape), x_hat)
+    with pytest.raises(ValueError, match="overflow"):
+        batch_optimal_permutations(np.full((1, 6), 1e200), x_hat)
+    mappings, costs = batch_optimal_permutations(np.empty((0, 6)), x_hat)
+    assert mappings.shape == (0, 3) and costs.shape == (0,)
+    assert batch_optimal_permutations(np.empty((0, 6)), x_hat, want_mappings=False)[1].shape == (0,)
+
+
+def test_batch_above_kernel_cap_matches_single():
+    # n > MAX_TARGETS: the per-sample path (2^n table sizes rule out the kernel)
+    rng = np.random.default_rng(11)
+    n = MAX_TARGETS + 1
+    x_hat = StackedState(n, 1, rng.normal(size=n))
+    points = rng.normal(size=(5, n))
+    mappings, costs = batch_optimal_permutations(points, x_hat)
+    _, costs_only = batch_optimal_permutations(points, x_hat, want_mappings=False)
+    for s in range(len(points)):
+        perm, cost = optimal_permutation(StackedState(n, 1, points[s]), x_hat)
+        assert tuple(mappings[s]) == perm.mapping
+        assert costs[s] == cost
+        assert costs_only[s] == cost

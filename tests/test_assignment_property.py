@@ -1,0 +1,59 @@
+"""Property test of the batched assignment kernel (n <= MAX_TARGETS): every
+mapping and cost is bit-equal to the per-sample solver and to the brute-force
+oracle, on tied, duplicate-block, Q-weighted and continuous inputs."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from conftest import block_diagonal_q  # noqa: E402
+from mospa import MAX_TARGETS, StackedState, brute_force_assignment  # noqa: E402
+from mospa.assignment import (  # noqa: E402
+    _KERNEL_CHUNK_BYTES,
+    _solve_square,
+    batch_optimal_permutations,
+)
+from mospa.quadform import batch_block_cost_matrices, target_block_forms  # noqa: E402
+
+KINDS = ("continuous", "tied", "duplicate", "weighted")
+
+
+def _draw(kind, n, d, m, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tied":
+        # coordinates in {-1, 0, 1}: integer costs with many exact ties
+        points = rng.integers(-1, 2, size=(m, n * d)).astype(float)
+        blocks = rng.integers(-1, 2, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(m, n * d))
+        blocks = rng.normal(size=(n, d))
+        if kind == "duplicate":
+            blocks[n // 2:] = blocks[0]
+    q = block_diagonal_q(rng, n, d) if kind == "weighted" else None
+    return points, StackedState.from_blocks(blocks), q
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, MAX_TARGETS), d=st.integers(1, 2), m=st.integers(1, 12),
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@example(n=MAX_TARGETS, d=1, m=600, kind="tied", seed=0)
+@example(n=MAX_TARGETS, d=2, m=600, kind="duplicate", seed=1)
+def test_kernel_matches_per_sample_solver_and_oracle(n, d, m, kind, seed):
+    if m > 12:
+        # the completion table alone outgrows one chunk: the batch spans several
+        assert m * 8 * (2**n + 1) > _KERNEL_CHUNK_BYTES
+    points, x_hat, q = _draw(kind, n, d, m, seed)
+    mappings, costs = batch_optimal_permutations(points, x_hat, q)
+    _, costs_only = batch_optimal_permutations(points, x_hat, q, want_mappings=False)
+    assert np.array_equal(costs_only, costs)
+    forms = None if q is None else target_block_forms(q, n, d)
+    cs = batch_block_cost_matrices(points, x_hat.blocks(), forms)
+    for s in range(m):
+        mapping, total = _solve_square(cs[s])
+        assert tuple(mappings[s]) == mapping
+        assert costs[s] == total
+        perm, best = brute_force_assignment(cs[s])
+        assert perm.mapping == mapping
+        assert best == total
