@@ -43,9 +43,9 @@ from .states import (
 # bounds any refinement slack well under the 1e-12 oracle-agreement contract.
 _TIE_RTOL = 1e-13
 
-# Bytes of subset-DP table and gathers per chunk of samples.  Chunks this
-# size stay in cache; 1 MiB ran n = 3..8 fastest among 256 KiB..16 MiB on a
-# 2-CPU x86 VM.  Every value is per sample, so the size moves no bit.
+# Bytes of block costs, DP table and gathers per chunk of samples.  Chunks
+# this size stay in cache; 1 MiB ran n = 3..8 fastest among 256 KiB..16 MiB
+# on a 2-CPU x86 VM.  Every value is per sample, so the size moves no bit.
 _KERNEL_CHUNK_BYTES = 1 << 20
 
 
@@ -208,34 +208,27 @@ def _subset_dp_assign(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n, _ = cs.shape
     full = 1 << n
     nxt, layers = _subset_tables(n)
-    widest = max(rows.size for rows, _ in layers)
-    chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * (full + 1 + (widest + 1) * n)))
+    ct = np.ascontiguousarray(cs.transpose(1, 2, 0))  # ct[i, j] is cs[:, i, j]
+    g = np.empty((full + 1, m))
+    g[full - 1] = 0.0
+    g[full] = np.inf
+    for k in range(n - 1, -1, -1):
+        rows, steps = layers[k]
+        g[rows] = (ct[k][None] + g[steps]).min(axis=1)
+    tol = _TIE_RTOL * np.maximum(1.0, cs.max(axis=(1, 2)) * n)
+    samples = np.arange(m)
+    used = np.zeros(m, dtype=np.intp)
+    target = g[0]
     mappings = np.empty((m, n), dtype=np.intp)
-    costs = np.empty(m)
-    for lo in range(0, m, chunk):
-        c = cs[lo:lo + chunk]
-        b = c.shape[0]
-        ct = np.ascontiguousarray(c.transpose(1, 2, 0))  # ct[i, j] is c[:, i, j]
-        g = np.empty((full + 1, b))
-        g[full - 1] = 0.0
-        g[full] = np.inf
-        for k in range(n - 1, -1, -1):
-            rows, steps = layers[k]
-            g[rows] = (ct[k][None] + g[steps]).min(axis=1)
-        tol = _TIE_RTOL * np.maximum(1.0, c.max(axis=(1, 2)) * n)
-        samples = np.arange(b)
-        used = np.zeros(b, dtype=np.intp)
-        target = g[0]
-        mapping = mappings[lo:lo + chunk]
-        for i in range(n):
-            after = nxt[used]
-            completion = g[after, samples[:, None]]
-            ok = c[:, i, :] + completion <= (target + tol)[:, None]
-            j = ok.argmax(axis=1)
-            mapping[:, i] = j
-            target = completion[samples, j]
-            used = after[samples, j]
-        costs[lo:lo + chunk] = c[samples[:, None], np.arange(n), mapping].sum(axis=1)
+    for i in range(n):
+        after = nxt[used]
+        completion = g[after, samples[:, None]]
+        ok = cs[:, i, :] + completion <= (target + tol)[:, None]
+        j = ok.argmax(axis=1)
+        mappings[:, i] = j
+        target = completion[samples, j]
+        used = after[samples, j]
+    costs = cs[samples[:, None], np.arange(n), mappings].sum(axis=1)
     return mappings, costs
 
 
@@ -250,28 +243,34 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
     MAX_TARGETS both modes run the same batched kernel, so their costs are
     identical; for larger n the cost-only mode takes plain LSA per sample and
     skips the tie-break, which changes no optimal value beyond rounding.
+    Block costs are built one chunk of samples at a time, so memory beyond
+    the points and the results is bounded by the chunk, not by m.
     Raises ValueError for points of the wrong width, non-finite points, or
     costs that overflow float64.
     """
     pts = _as_points(points, x_hat)
     forms = _forms_for(x_hat, q)
-    cs = batch_block_cost_matrices(pts, x_hat.blocks(), forms)
-    if not np.all(np.isfinite(cs)):
-        raise ValueError("block costs overflow float64; rescale the points and estimate")
-    m, n, _ = cs.shape
-    if n <= MAX_TARGETS:
-        mappings, costs = _subset_dp_assign(cs)
-        return (mappings if want_mappings else None), costs
-    costs = np.empty(m)
-    if not want_mappings:
-        rows = np.arange(n)
-        for s in range(m):
-            _, ci = linear_sum_assignment(cs[s])
-            costs[s] = cs[s][rows, ci].sum()
-        return None, costs
+    y = x_hat.blocks()
+    m, (n, d) = pts.shape[0], y.shape
+    per_sample = n * n * (d + 1)  # block-cost differences and cost stack
+    if n <= MAX_TARGETS:  # subset-DP table and gathers
+        widest = max(rows.size for rows, _ in _subset_tables(n)[1])
+        per_sample += (1 << n) + 1 + (widest + 1) * n
+    chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * per_sample))
     mappings = np.empty((m, n), dtype=np.intp)
-    for s in range(m):
-        mapping, total = _solve_square(cs[s])
-        mappings[s] = mapping
-        costs[s] = total
-    return mappings, costs
+    costs = np.empty(m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        cs = batch_block_cost_matrices(pts[lo:hi], y, forms)
+        if not np.all(np.isfinite(cs)):
+            raise ValueError("block costs overflow float64; rescale the points and estimate")
+        if n <= MAX_TARGETS:
+            mappings[lo:hi], costs[lo:hi] = _subset_dp_assign(cs)
+        elif want_mappings:
+            for s, c in enumerate(cs, lo):
+                mappings[s], costs[s] = _solve_square(c)
+        else:
+            for s, c in enumerate(cs, lo):
+                ri, ci = linear_sum_assignment(c)
+                costs[s] = c[ri, ci].sum()
+    return (mappings if want_mappings else None), costs

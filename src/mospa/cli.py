@@ -7,8 +7,8 @@ only, and every output file embeds the scenario digest and effective seed on
 a leading comment line, so repeated runs with the same seed are byte
 identical.
 
-Exit codes: 0 success, 1 validation failure, 2 verification or solver
-failure, 64 usage.
+Exit codes: 0 success, 1 validation failure (including a request too large
+to allocate), 2 verification or solver failure, 64 usage.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ def run(argv=None) -> int:
             seed=args.seed, sample_count=args.samples)
         digest = scenario_digest(scenario)
         code, payload = _HANDLERS[args.subcommand](args, scenario, digest, args.output)
-    except (ScenarioParseError, ValueError, np.linalg.LinAlgError, OSError) as exc:
+    except (ScenarioParseError, ValueError, np.linalg.LinAlgError, OSError,
+            MemoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -7,10 +7,15 @@ sample to the current estimate with its optimal permutation, then move each
 estimate block to the weighted average of the sample blocks assigned to it.
 Both steps are non-increasing in the empirical objective and the assignment
 step takes finitely many values, so the iteration terminates.
+
+One sweep over the samples yields both the objective and each sample's
+alignment, so the sweep that scores a new estimate also aligns the samples
+for the next step: a run costs one sweep plus one per averaging step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,16 @@ class MmospaConfig:
     restarts: int = 16
     restart_scale: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and >= 0")
+        if not (math.isfinite(self.restart_scale) and self.restart_scale >= 0):
+            raise ValueError("restart_scale must be finite and >= 0")
+        if not 0 <= self.seed <= rng.MAX_SEED:
+            raise ValueError(f"seed must lie in [0, {rng.MAX_SEED}]")
 
 
 @dataclass(frozen=True)
@@ -95,18 +110,17 @@ def _weighted_column_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _alignment_pass(points, weights, atoms, q, want_best=True):
-    """One sweep over the samples: objective and (optionally) best atom per sample."""
+def _alignment_pass(points, weights, atoms, q):
+    """One sweep over the samples: the objective and the best atom per sample."""
     m = points.shape[0]
-    best = np.empty(m, dtype=np.intp) if want_best else None
+    best = np.empty(m, dtype=np.intp)
     obj = 0.0
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
         costs = point_cost_matrix(points[lo:hi], atoms, q)
-        mins = costs.min(axis=1)
-        if want_best:
-            best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
-        obj += float(np.sum(weights[lo:hi] * mins))
+        best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
+        # the minima, read at the argmin: cheaper than a min over a short axis
+        obj += float(np.sum(weights[lo:hi] * costs[np.arange(hi - lo), best[lo:hi]]))
     return obj, best
 
 
@@ -170,8 +184,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     std = np.sqrt(np.maximum(centered_sq, 0.0))
 
     best_run = None
-    n_restarts = max(1, cfg.restarts)
-    for r in range(n_restarts):
+    for r in range(cfg.restarts):
         if r == 0:
             x0 = init.data.copy() if init is not None else mean.copy()
         else:
@@ -189,7 +202,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
         estimate=estimate,
         empirical_mospa=obj,
         iterations=iterations,
-        restarts_used=n_restarts,
+        restarts_used=cfg.restarts,
         converged=converged,
         descent_trace=tuple(trace),
     )
@@ -197,15 +210,13 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
 
 def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg):
     xh = np.asarray(x0, dtype=float).reshape(-1)
-    obj_prev, _ = _alignment_pass(points, weights, xh[atom_idx], q, want_best=False)
+    obj_prev, best = _alignment_pass(points, weights, xh[atom_idx], q)
     trace: list[float] = []
     converged = False
     obj = obj_prev
     for _ in range(cfg.max_iters):
-        _, best = _alignment_pass(points, weights, xh[atom_idx], q)
-        src = inv_perms[best]
-        xh = _average_step(points, weights, src, n, d, forms).reshape(-1)
-        obj, _ = _alignment_pass(points, weights, xh[atom_idx], q, want_best=False)
+        xh = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+        obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
         trace.append(obj)
         if obj_prev - obj < cfg.tol:
             converged = True

@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import UnsupportedMetricError
 
-_CHUNK_ROWS = 1 << 16
+# Bytes of difference tensor per chunk of point_cost_matrix rows; 4 MiB keeps
+# MMOSPA's two-scalar-target sweeps (k * dim = 4) at one chunk per 65536 rows.
+_CHUNK_BYTES = 1 << 22
 
 
 def validate_spd(q, dim: int, name: str = "q") -> np.ndarray:
@@ -75,18 +77,20 @@ def batch_block_cost_matrices(points: np.ndarray, y_blocks: np.ndarray, forms=No
 def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
     """(m, k) squared (Q-weighted) Euclidean distances, chunked over m.
 
-    Fixed chunk boundaries keep the reduction order independent of memory
-    pressure and thread counts.
+    A chunk's difference tensor holds at most _CHUNK_BYTES (or one row), so
+    memory beyond the output does not grow with m.  Chunk boundaries depend
+    only on the shape, and every value is per row, so they move no bit.
     """
     m = points.shape[0]
-    k = targets.shape[0]
+    k, dim = targets.shape
+    chunk = max(1, _CHUNK_BYTES // (8 * k * dim))
     out = np.empty((m, k))
-    for lo in range(0, m, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
         diff = points[lo:hi, None, :] - targets[None, :, :]
         if q is None:
             out[lo:hi] = np.einsum("mkd,mkd->mk", diff, diff)
         else:
             s = np.einsum("de,mke->mkd", q, diff)
             out[lo:hi] = np.einsum("mkd,mkd->mk", diff, s)
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)

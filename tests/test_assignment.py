@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mospa import (
     optimal_permutation,
     solve_assignment,
 )
+from mospa import assignment
 from mospa.assignment import _subset_dp_assign, batch_optimal_permutations
 
 
@@ -202,3 +205,38 @@ def test_batch_above_kernel_cap_matches_single():
         assert tuple(mappings[s]) == perm.mapping
         assert costs[s] == cost
         assert costs_only[s] == cost
+
+
+@pytest.mark.parametrize("n", [3, MAX_TARGETS + 1])
+def test_chunked_batch_matches_one_chunk(n, monkeypatch):
+    # a budget of a few samples per chunk, on the kernel and per-sample paths
+    rng = np.random.default_rng(12)
+    x_hat = StackedState(n, 2, rng.normal(size=2 * n))
+    points = rng.normal(size=(7, 2 * n))
+    whole = batch_optimal_permutations(points, x_hat)
+    whole_costs = batch_optimal_permutations(points, x_hat, want_mappings=False)[1]
+    monkeypatch.setattr(assignment, "_KERNEL_CHUNK_BYTES", 8 * (2**n + 6 * n * n))
+    mappings, costs = batch_optimal_permutations(points, x_hat)
+    assert np.array_equal(mappings, whole[0]) and np.array_equal(costs, whole[1])
+    assert np.array_equal(batch_optimal_permutations(points, x_hat, want_mappings=False)[1],
+                          whole_costs)
+    points[-1] = 1e200  # overflow in the last chunk only
+    with pytest.raises(ValueError, match="overflow"):
+        batch_optimal_permutations(points, x_hat, want_mappings=False)
+
+
+def test_cost_only_batch_memory_is_bounded_by_the_chunk():
+    # the mospa operation at n=7, d=2: block costs are built per chunk, never
+    # as one (m, n, n) stack (a whole-batch build peaked at 156.8 MB here)
+    rng = np.random.default_rng(13)
+    points = rng.normal(size=(100_000, 14))
+    x_hat = StackedState(7, 2, rng.normal(size=14))
+    tracemalloc.start()
+    try:
+        _, costs = batch_optimal_permutations(points, x_hat, want_mappings=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+    first = batch_optimal_permutations(points[:3], x_hat)[1]
+    assert np.array_equal(costs[:3], first)

@@ -224,6 +224,16 @@ def test_out_of_range_seed_override_exits_1(seed, tmp_path, capsys):
     assert err.startswith("validation error: ") and "seed" in err
 
 
+def test_impossible_allocation_exits_1(tmp_path, capsys):
+    import mospa.cli as cli
+
+    # 2**50 samples need 8 PiB, beyond a 47-bit address space: fails at once
+    code = cli.run(["mospa", "--scenario", FIG, "--x-hat=-4,3", "--samples", str(2**50),
+                    "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
 def test_byte_identical_reruns_across_thread_counts(tmp_path):
     outputs = []
     for trial, threads in enumerate(("1", "4")):

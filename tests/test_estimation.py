@@ -16,7 +16,8 @@ from mospa import (
     permutation_enumerate,
     scalar_sort_oracle,
 )
-from mospa.estimation import _alignment_pass
+from mospa import estimation, rng as mospa_rng
+from mospa.estimation import _CHUNK, _alignment_pass
 from mospa.states import _atom_index_matrix
 
 
@@ -77,8 +78,7 @@ def test_mmospa_matches_scalar_oracle():
     assert np.allclose(res.estimate.data, oracle.data, atol=1e-9)
     # the oracle attains the empirical optimum; objectives must agree
     atoms_idx = _atom_index_matrix(2, 1)
-    oracle_obj, _ = _alignment_pass(emp.points, emp.weights, oracle.data[atoms_idx], None,
-                                    want_best=False)
+    oracle_obj, _ = _alignment_pass(emp.points, emp.weights, oracle.data[atoms_idx], None)
     assert abs(res.empirical_mospa - oracle_obj) <= 1e-9
     target = 1.0 / math.sqrt(math.pi)
     assert np.allclose(res.estimate.data, [-target, target], atol=0.02)
@@ -127,6 +127,53 @@ def test_mmospa_weighted_variant_descends():
     assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
     est = mospa_mc(emp, res.estimate, q=q)
     assert est.value == pytest.approx(res.empirical_mospa, rel=1e-9)
+
+
+def test_mmospa_sweeps_once_per_step(monkeypatch):
+    # one sweep at the start, then one per averaging step: the sweep that
+    # scores an estimate also aligns the samples for the next step
+    calls = []
+    kernel = estimation.point_cost_matrix
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(estimation, "point_cost_matrix", counting)
+    emp = gm_sample(random_mixture(np.random.default_rng(80), 2, 2, 3), seed=6, m=5000)
+    assert len(emp) < _CHUNK
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=4, restarts=1))
+    assert res.iterations >= 3
+    assert calls == [len(emp)] * (1 + res.iterations)
+
+
+def test_mmospa_weighted_run_is_pinned():
+    # bits recorded before the objective and the alignment shared one sweep
+    rng = np.random.default_rng(70)
+    q = block_diagonal_q(rng, 2, 2)
+    mix = random_mixture(rng, 2, 2, 3)
+    emp = gm_sample(mix, seed=12, m=20000)
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=3, restarts=4), q=q)
+    assert [v.hex() for v in res.estimate.data] == [
+        "-0x1.1c98cb78fe6eap+2", "-0x1.e20dd3ebba95dp+1",
+        "-0x1.b809ca0cc6283p+0", "-0x1.5dd192a761b08p+0"]
+    assert (res.iterations, res.converged, res.restarts_used) == (8, True, 4)
+    assert res.empirical_mospa.hex() == "0x1.573b1f6630ab0p+5"
+    assert [v.hex() for v in res.descent_trace] == [
+        "0x1.5ce2595e8e486p+5", "0x1.57b41035a4c83p+5", "0x1.57450abb5478ep+5",
+        "0x1.573b7b4d2ef50p+5", "0x1.573b255fc52a4p+5", "0x1.573b1fa3648c2p+5",
+        "0x1.573b1f6630ab0p+5", "0x1.573b1f6630ab0p+5"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 0), ("restarts", -1), ("max_iters", 0),
+    ("tol", -1e-12), ("tol", math.nan), ("tol", math.inf),
+    ("restart_scale", -0.5), ("restart_scale", math.nan), ("restart_scale", math.inf),
+    ("seed", -1), ("seed", mospa_rng.MAX_SEED + 1),
+])
+def test_mmospa_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        MmospaConfig(**{field: value})
 
 
 def test_mmospa_canonicalization_sorts_blocks():
