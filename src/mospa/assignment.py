@@ -257,7 +257,7 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
         widest = max(rows.size for rows, _ in _subset_tables(n)[1])
         per_sample += (1 << n) + 1 + (widest + 1) * n
     chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * per_sample))
-    mappings = np.empty((m, n), dtype=np.intp)
+    mappings = np.empty((m, n), dtype=np.intp) if want_mappings else None
     costs = np.empty(m)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -265,7 +265,9 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
         if not np.all(np.isfinite(cs)):
             raise ValueError("block costs overflow float64; rescale the points and estimate")
         if n <= MAX_TARGETS:
-            mappings[lo:hi], costs[lo:hi] = _subset_dp_assign(cs)
+            maps, costs[lo:hi] = _subset_dp_assign(cs)
+            if want_mappings:
+                mappings[lo:hi] = maps
         elif want_mappings:
             for s, c in enumerate(cs, lo):
                 mappings[s], costs[s] = _solve_square(c)
@@ -273,4 +275,4 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
             for s, c in enumerate(cs, lo):
                 ri, ci = linear_sum_assignment(c)
                 costs[s] = c[ri, ci].sum()
-    return (mappings if want_mappings else None), costs
+    return mappings, costs

@@ -10,7 +10,9 @@ step takes finitely many values, so the iteration terminates.
 
 One sweep over the samples yields both the objective and each sample's
 alignment, so the sweep that scores a new estimate also aligns the samples
-for the next step: a run costs one sweep plus one per averaging step.
+for the next step: a run costs one sweep plus one per averaging step.  A
+sweep keeps only each sample's best atom and its cost, one quadform.row_chunks
+chunk at a time, and sums the objective over fixed blocks of _CHUNK samples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import rng
 from .assignment import batch_optimal_permutations
 from .measures import EmpiricalMeasure
-from .quadform import point_cost_matrix, target_block_forms, validate_spd
+from .quadform import point_cost_matrix, row_chunks, target_block_forms, validate_spd
 from .states import StackedState, _atom_index_matrix, permutation_array
 
 _CHUNK = 1 << 16
@@ -114,13 +116,15 @@ def _alignment_pass(points, weights, atoms, q):
     """One sweep over the samples: the objective and the best atom per sample."""
     m = points.shape[0]
     best = np.empty(m, dtype=np.intp)
-    obj = 0.0
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
+    low = np.empty(m)
+    for lo, hi in row_chunks(m, *atoms.shape):
         costs = point_cost_matrix(points[lo:hi], atoms, q)
         best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
         # the minima, read at the argmin: cheaper than a min over a short axis
-        obj += float(np.sum(weights[lo:hi] * costs[np.arange(hi - lo), best[lo:hi]]))
+        low[lo:hi] = costs[np.arange(hi - lo), best[lo:hi]]
+    obj = 0.0  # summed over fixed blocks, whatever the cost chunks were
+    for lo in range(0, m, _CHUNK):
+        obj += float(np.sum(weights[lo:lo + _CHUNK] * low[lo:lo + _CHUNK]))
     return obj, best
 
 

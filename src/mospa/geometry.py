@@ -4,8 +4,9 @@ A point belongs to the cell of the site minimizing squared (Q-weighted)
 distance plus the site's additive weight.  With equal weights and sites at
 the permutations of an estimate, the cells coincide with the permutation
 regions of the metric layer; cells_match_regions measures that agreement
-sample by sample through two independent classifiers.  Cells stay implicit
-(membership predicate); only the 2-D export materializes boundary segments.
+sample by sample through two independent classifiers, one quadform.row_chunks
+chunk at a time.  Cells stay implicit (membership predicate); only the 2-D
+export materializes boundary segments.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure
 from .metrics import batch_region_ranks
-from .quadform import point_cost_matrix, validate_spd
+from .quadform import point_cost_matrix, row_chunks, validate_spd
 from .states import StackedState, permuted_atoms
 
 # Samples closer than this to a cost tie are excluded from agreement counts;
@@ -123,13 +124,15 @@ def cells_match_regions(x_hat: StackedState, samples: EmpiricalMeasure, q=None,
     sites = WeightedSites(atoms, site_weights)
     if len(sites) == 1:
         return 1.0
-    costs = power_costs(samples.points, sites, q)
-    cell = np.argmin(costs, axis=1)
-    part = np.partition(costs, 1, axis=1)
-    margin = part[:, 1] - part[:, 0]
-    zero_costs = costs - sites.weights[None, :]
-    zpart = np.partition(zero_costs, 1, axis=1)
-    keep = (margin > TIE_BAND) & (zpart[:, 1] - zpart[:, 0] > TIE_BAND)
+    m = len(samples)
+    cell = np.empty(m, dtype=np.intp)
+    keep = np.empty(m, dtype=bool)
+    for lo, hi in row_chunks(m, *sites.points.shape):
+        costs = power_costs(samples.points[lo:hi], sites, q)
+        cell[lo:hi] = np.argmin(costs, axis=1)
+        part = np.partition(costs, 1, axis=1)
+        zpart = np.partition(costs - sites.weights[None, :], 1, axis=1)
+        keep[lo:hi] = (part[:, 1] - part[:, 0] > TIE_BAND) & (zpart[:, 1] - zpart[:, 0] > TIE_BAND)
     if not np.any(keep):
         return 1.0
     region = batch_region_ranks(samples.points[keep], x_hat, q)

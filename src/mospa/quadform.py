@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import UnsupportedMetricError
 
-# Bytes of difference tensor per chunk of point_cost_matrix rows; 4 MiB keeps
-# MMOSPA's two-scalar-target sweeps (k * dim = 4) at one chunk per 65536 rows.
-_CHUNK_BYTES = 1 << 22
+# Bytes of difference tensor per chunk of point-to-atom rows; 2 MiB keeps
+# MMOSPA's two-scalar-target sweeps (k * dim = 4) at 65536 rows per chunk.
+_CHUNK_BYTES = 1 << 21
 
 
 def validate_spd(q, dim: int, name: str = "q") -> np.ndarray:
@@ -74,19 +74,19 @@ def batch_block_cost_matrices(points: np.ndarray, y_blocks: np.ndarray, forms=No
     return np.maximum(c, 0.0)
 
 
-def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
-    """(m, k) squared (Q-weighted) Euclidean distances, chunked over m.
+def row_chunks(m: int, k: int, dim: int):
+    """(lo, hi) ranges of m rows scored against k atoms of width dim, each
+    with at most _CHUNK_BYTES (or one row) of difference tensor.  Bounds depend
+    only on the shape and every cost is per row, so they move no bit."""
+    step = max(1, _CHUNK_BYTES // (8 * k * dim))
+    return ((lo, min(lo + step, m)) for lo in range(0, m, step))
 
-    A chunk's difference tensor holds at most _CHUNK_BYTES (or one row), so
-    memory beyond the output does not grow with m.  Chunk boundaries depend
-    only on the shape, and every value is per row, so they move no bit.
-    """
+
+def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
+    """(m, k) squared (Q-weighted) Euclidean distances, built over row_chunks."""
     m = points.shape[0]
-    k, dim = targets.shape
-    chunk = max(1, _CHUNK_BYTES // (8 * k * dim))
-    out = np.empty((m, k))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
+    out = np.empty((m, targets.shape[0]))
+    for lo, hi in row_chunks(m, *targets.shape):
         diff = points[lo:hi, None, :] - targets[None, :, :]
         if q is None:
             out[lo:hi] = np.einsum("mkd,mkd->mk", diff, diff)

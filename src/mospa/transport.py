@@ -35,6 +35,11 @@ _MARGINAL_TOL = 1e-9
 # standard error.
 _W2_SOURCE_CAP = 2048
 _PERTURB_SEED = 0x5EED_0F_CABBA9E5
+# Cap on sources x sinks: 2**25 entries is 256 MiB per dense float64 array,
+# and a solve holds about five (cost, reduced costs, resolved and kept flows,
+# the plan).  Larger requests are refused before any is allocated, since
+# under memory overcommit the allocation can succeed and the process die later.
+_MAX_COST_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,9 +375,12 @@ def _resolve_tree_flows(arc_i, arc_j, a, b, m, k):
     return out
 
 
-def _check_marginal_pair(sources: EmpiricalMeasure, sinks: DiscreteMeasure):
+def _check_pair(sources: EmpiricalMeasure, sinks: DiscreteMeasure):
     if sources.dim != sinks.dim:
         raise ValueError(f"source dim {sources.dim} != sink dim {sinks.dim}")
+    if len(sources) * len(sinks) > _MAX_COST_ENTRIES:
+        raise ValueError(f"{len(sources)} sources x {len(sinks)} sinks exceed the dense "
+                         f"transport cap of {_MAX_COST_ENTRIES} cost entries")
     for name, s in (("source", sources.weights.sum()), ("sink", sinks.masses.sum())):
         if abs(s - 1.0) > _MARGINAL_TOL:
             raise ValueError(f"{name} marginal sums to {s!r}, expected 1 within 1e-9")
@@ -384,10 +392,11 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
 
     Zero-mass sink atoms are dropped before the simplex runs (degenerate
     sinks break pivoting); their columns come back as zeros in the returned
-    plan and their potentials as NaN.  Raises RuntimeError when the dual gap
-    certificate fails.
+    plan and their potentials as NaN.  Raises ValueError, before any dense
+    array is built, when sources x sinks exceed _MAX_COST_ENTRIES, and
+    RuntimeError when the dual gap certificate fails.
     """
-    _check_marginal_pair(sources, sinks)
+    _check_pair(sources, sinks)
     if q is not None:
         validate_spd(q, sources.dim)
     keep = sinks.masses > 0.0
@@ -417,7 +426,7 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
 def coupling_cost(plan: TransportPlan, sources: EmpiricalMeasure,
                   sinks: DiscreteMeasure, q=None) -> float:
     """Transport cost of one feasible plan; at least the optimal cost."""
-    _check_marginal_pair(sources, sinks)
+    _check_pair(sources, sinks)
     flows = plan.flows
     if flows.shape != (len(sources), len(sinks)):
         raise ValueError(f"plan shape {flows.shape} does not match the measures")

@@ -240,3 +240,18 @@ def test_cost_only_batch_memory_is_bounded_by_the_chunk():
     assert peak < 24e6
     first = batch_optimal_permutations(points[:3], x_hat)[1]
     assert np.array_equal(costs[:3], first)
+
+
+def test_cost_only_batch_allocates_no_mappings():
+    # an (m, n) mapping array filled and dropped was 5.6 MB of a 7.9 MB peak
+    rng = np.random.default_rng(14)
+    points = rng.normal(size=(100_000, 14))
+    x_hat = StackedState(7, 2, rng.normal(size=14))
+    tracemalloc.start()
+    try:
+        mappings, _ = batch_optimal_permutations(points, x_hat, want_mappings=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mappings is None
+    assert peak < 4e6

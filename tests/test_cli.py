@@ -234,6 +234,22 @@ def test_impossible_allocation_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("validation error: ")
 
 
+def test_oversize_transport_exits_1(tmp_path, capsys):
+    import mospa.cli as cli
+
+    # n = 6: 50000 sources x 720 sinks exceed the dense transport cap
+    scen = {"n_targets": 6, "state_dim": 1, "seed": 3, "sample_count": 50000,
+            "mixture": [{"weight": 1.0, "mean": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                         "cov": np.eye(6).tolist()}]}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(scen))
+    code = cli.run(["wasserstein", "--scenario", str(path), "--x-hat=0,1,2,3,4,5",
+                    "--output", str(tmp_path / "w.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "cap" in err
+
+
 def test_byte_identical_reruns_across_thread_counts(tmp_path):
     outputs = []
     for trial, threads in enumerate(("1", "4")):

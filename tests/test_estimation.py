@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from mospa import (
     permutation_enumerate,
     scalar_sort_oracle,
 )
-from mospa import estimation, rng as mospa_rng
-from mospa.estimation import _CHUNK, _alignment_pass
+from mospa import estimation, quadform, rng as mospa_rng
+from mospa.estimation import _alignment_pass
+from mospa.quadform import row_chunks
 from mospa.states import _atom_index_matrix
 
 
@@ -141,10 +143,37 @@ def test_mmospa_sweeps_once_per_step(monkeypatch):
 
     monkeypatch.setattr(estimation, "point_cost_matrix", counting)
     emp = gm_sample(random_mixture(np.random.default_rng(80), 2, 2, 3), seed=6, m=5000)
-    assert len(emp) < _CHUNK
+    assert len(list(row_chunks(len(emp), 2, emp.dim))) == 1  # one cost chunk per sweep
     res = mmospa_estimate(emp, config=MmospaConfig(seed=4, restarts=1))
     assert res.iterations >= 3
     assert calls == [len(emp)] * (1 + res.iterations)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_alignment_pass_is_independent_of_the_cost_chunk(monkeypatch, weighted):
+    rng = np.random.default_rng(90)
+    q = block_diagonal_q(rng, 3, 2) if weighted else None
+    emp = gm_sample(random_mixture(rng, 3, 2, 3), seed=8, m=5000)
+    atoms = rng.normal(size=6)[_atom_index_matrix(3, 2)]
+    assert len(list(row_chunks(len(emp), *atoms.shape))) == 1
+    obj, best = _alignment_pass(emp.points, emp.weights, atoms, q)
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * atoms.size * 7)  # 7 rows a chunk
+    chunked_obj, chunked_best = _alignment_pass(emp.points, emp.weights, atoms, q)
+    assert chunked_obj.hex() == obj.hex()
+    assert np.array_equal(chunked_best, best)
+
+
+def test_mmospa_memory_is_bounded_by_the_chunk():
+    # n = 6: 720 atoms, so a sweep of 65536-row cost chunks peaked at 124 MB
+    emp = gm_sample(random_mixture(np.random.default_rng(91), 6, 1, 2), seed=3, m=20000)
+    tracemalloc.start()
+    try:
+        res = mmospa_estimate(emp, config=MmospaConfig(restarts=1, max_iters=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert res.empirical_mospa == pytest.approx(mospa_mc(emp, res.estimate).value, rel=1e-9)
 
 
 def test_mmospa_weighted_run_is_pinned():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mospa import (
     power_cell_index,
     region_index,
 )
+from mospa import quadform
 from mospa.geometry import power_costs
 
 FIG_SITES = WeightedSites([[-4.0, 3.0], [3.0, -4.0]], [0.0, 0.0])
@@ -126,6 +129,30 @@ def test_cells_match_regions_perturbed_weight_disagrees():
     x_hat = StackedState(2, 1, [-4.0, 3.0])
     agreement = cells_match_regions(x_hat, emp, site_weights=[0.5, 0.0])
     assert agreement < 1.0
+
+
+@pytest.mark.parametrize("site_weights", [None, [0.5, 0.0]])
+def test_cells_match_regions_is_independent_of_the_cost_chunk(monkeypatch, site_weights):
+    emp = gm_sample(two_mode_mixture(3.0), seed=10, m=5000)
+    x_hat = StackedState(2, 1, [-4.0, 3.0])
+    whole = cells_match_regions(x_hat, emp, site_weights=site_weights)
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * 2 * 2 * 7)  # 7 rows a chunk
+    assert cells_match_regions(x_hat, emp, site_weights=site_weights) == whole
+
+
+def test_cells_match_regions_memory_is_bounded_by_the_chunk():
+    # n = 6: a whole-batch (m, 720) classifier peaked at 928 MB on this call
+    rng = np.random.default_rng(17)
+    emp = gm_sample(random_mixture(rng, 6, 1, 2), seed=4, m=40000)
+    x_hat = random_x_hat(rng, 6, 1)
+    tracemalloc.start()
+    try:
+        agreement = cells_match_regions(x_hat, emp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert agreement == 1.0
 
 
 def test_cells_match_regions_single_target():

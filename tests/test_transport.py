@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -26,6 +28,9 @@ from mospa import (
     verify_mospa_wasserstein,
     w2_squared,
 )
+from mospa import transport
+from mospa.geometry import WeightedSites, power_costs
+from mospa.states import permuted_atoms
 from mospa.transport import _transportation_simplex
 
 
@@ -234,6 +239,57 @@ def test_transport_marginal_validation():
     emp = EmpiricalMeasure(1, 1, [[0.0]], [1.0])
     with pytest.raises(ValueError):
         solve_transport(emp, DiscreteMeasure(1, 2, [[0.0, 1.0]], [1.0]))
+
+
+def test_oversize_transport_is_refused_up_front():
+    # 1000 x 40320 = 4.0e7 cost entries: five dense arrays would need 1.6 GB
+    rng = np.random.default_rng(15)
+    x_hat = random_x_hat(rng, 8, 1)
+    nu = DiscreteMeasure(8, 1, permuted_atoms(x_hat), np.full(40320, 1 / 40320))
+    emp = gm_sample(random_mixture(rng, 8, 1, 1), seed=5, m=1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            solve_transport(emp, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_coupling_cost_applies_the_transport_cap(monkeypatch):
+    emp = EmpiricalMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.5])
+    nu = DiscreteMeasure(1, 1, [[0.0], [1.0], [2.0]], [0.25, 0.25, 0.5])
+    plan = TransportPlan(np.outer(emp.weights, nu.masses), emp.weights, nu.masses)
+    monkeypatch.setattr(transport, "_MAX_COST_ENTRIES", 5)
+    with pytest.raises(ValueError, match="cap"):
+        coupling_cost(plan, emp, nu)
+    with pytest.raises(ValueError, match="cap"):
+        solve_transport(emp, nu)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
+def test_sink_potentials_are_power_diagram_weights(n, d):
+    # complementary slackness: a sample sends mass only to sinks that
+    # minimise c_ij - v_j, so it lies in that sink's cell of the power
+    # diagram with sites at the atoms and additive weights -v.  Split samples
+    # sit on a cell boundary, so the test compares costs, not cell indices.
+    rng = np.random.default_rng(100 + 10 * n + d)
+    x_hat = random_x_hat(rng, n, d)
+    atoms = permuted_atoms(x_hat)
+    masses = rng.dirichlet(np.ones(len(atoms)))
+    nu = DiscreteMeasure(n, d, atoms, masses / masses.sum())
+    emp = gm_sample(random_mixture(rng, n, d, 2), seed=n + d, m=400)
+    sol = solve_transport(emp, nu)
+    keep = nu.masses > 0.0
+    sites = WeightedSites(atoms[keep], -sol.sink_potentials[keep])
+    scores = power_costs(emp.points, sites)
+    flows = sol.plan.flows[:, keep]
+    best = scores.min(axis=1)
+    tol = 1e-9 * max(1.0, np.abs(scores).max())
+    i, j = np.nonzero(flows > 0.0)
+    assert len(i) >= len(emp)
+    assert np.all(scores[i, j] <= best[i] + tol)
 
 
 def test_same_sample_identity_exact(fig_mixture, fig_x_hat):
