@@ -17,7 +17,6 @@ chunk at a time, and sums the objective over fixed blocks of _CHUNK samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,8 @@ from .quadform import point_cost_matrix, row_chunks, target_block_forms, validat
 from .states import StackedState, _atom_index_matrix, permutation_array
 
 _CHUNK = 1 << 16
+# A run stops once an averaging step lowers the objective by less than this.
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,12 @@ class MospaEstimate:
 @dataclass(frozen=True)
 class MmospaConfig:
     max_iters: int = 100
-    tol: float = 1e-10
     restarts: int = 16
-    restart_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError("tol must be finite and >= 0")
-        if not (math.isfinite(self.restart_scale) and self.restart_scale >= 0):
-            raise ValueError("restart_scale must be finite and >= 0")
         if not 0 <= self.seed <= rng.MAX_SEED:
             raise ValueError(f"seed must lie in [0, {rng.MAX_SEED}]")
 
@@ -163,10 +158,12 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     """Alternating-descent minimizer of the empirical MOSPA objective.
 
     Runs config.restarts starts (the first from `init` or the per-target mean,
-    the rest from the mean perturbed by restart_scale times the per-coordinate
-    sample standard deviation) and keeps the run with the smallest empirical
-    objective.  The returned estimate is canonicalized by sorting target
-    blocks lexicographically; the objective is invariant under that reorder.
+    the rest from the mean plus the per-coordinate sample standard deviation
+    times a standard normal draw) and keeps the run with the smallest
+    empirical objective.  A run stops once an averaging step lowers the
+    objective by less than _TOL, or after config.max_iters steps.  The
+    returned estimate is canonicalized by sorting target blocks
+    lexicographically; the objective is invariant under that reorder.
     """
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
@@ -193,7 +190,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
             x0 = init.data.copy() if init is not None else mean.copy()
         else:
             eta = rng.normals(rng.derive_seed(cfg.seed, 101, r), np.zeros(1, dtype=np.uint64), n * d)[0]
-            x0 = mean + cfg.restart_scale * std * eta
+            x0 = mean + std * eta
         run = _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg)
         if not np.isfinite(run[1]):
             raise RuntimeError("MMOSPA objective became non-finite")
@@ -222,7 +219,7 @@ def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg):
         xh = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
         obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
         trace.append(obj)
-        if obj_prev - obj < cfg.tol:
+        if obj_prev - obj < _TOL:
             converged = True
             break
         obj_prev = obj

@@ -41,10 +41,15 @@ class GaussianMixture:
         w = np.array(self.weights, dtype=float).reshape(-1)
         mu = np.array(self.means, dtype=float).reshape(len(w), dim)
         cov = np.array(self.covariances, dtype=float).reshape(len(w), dim, dim)
-        if np.any(w <= 0) or np.any(w > 1):
+        # written as `not (valid)` so that NaN fails each check
+        if not np.all((w > 0) & (w <= 1)):
             raise ValueError("mixture weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1 within 1e-12")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mixture means must be finite")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("mixture covariances must be finite")
         chols = np.empty_like(cov)
         for c in range(len(w)):
             if not np.array_equal(cov[c], cov[c].T):
@@ -100,7 +105,7 @@ class EmpiricalMeasure:
             raise ValueError("points and weights must have equal length")
         if not np.all(np.isfinite(pts)):
             raise ValueError("sample points must be finite")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("sample weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"sample weights sum to {w.sum()!r}, expected 1 within 1e-12")
@@ -115,9 +120,6 @@ class EmpiricalMeasure:
     @property
     def dim(self) -> int:
         return self.n_targets * self.state_dim
-
-    def state(self, i: int) -> StackedState:
-        return StackedState(self.n_targets, self.state_dim, self.points[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +139,7 @@ class DiscreteMeasure:
             raise ValueError("atoms and masses must have equal length")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
-        if np.any(masses < 0):
+        if not np.all(masses >= 0):
             raise ValueError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-12:
             raise ValueError(f"masses sum to {masses.sum()!r}, expected 1 within 1e-12")
@@ -154,9 +156,6 @@ class DiscreteMeasure:
     @property
     def dim(self) -> int:
         return self.n_targets * self.state_dim
-
-    def atom(self, i: int) -> StackedState:
-        return StackedState(self.n_targets, self.state_dim, self.atoms[i])
 
 
 def gm_sample(mixture: GaussianMixture, seed: int, m: int) -> EmpiricalMeasure:
@@ -225,7 +224,7 @@ def build_region_measure(x_hat: StackedState, masses) -> DiscreteMeasure:
     n_regions = math.factorial(x_hat.n_targets)
     if len(masses) != n_regions:
         raise ValueError(f"expected {n_regions} masses, got {len(masses)}")
-    if np.any(masses < 0):
+    if not np.all(masses >= 0):
         raise ValueError("masses must be nonnegative")
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:

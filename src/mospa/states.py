@@ -63,9 +63,6 @@ class StackedState:
     def dim(self) -> int:
         return self.n_targets * self.state_dim
 
-    def block(self, i: int) -> np.ndarray:
-        return self.data[i * self.state_dim : (i + 1) * self.state_dim]
-
     def blocks(self) -> np.ndarray:
         """View of the data as an (n_targets, state_dim) array."""
         return self.data.reshape(self.n_targets, self.state_dim)

@@ -2,12 +2,15 @@
 
 solve_transport runs a primal transportation simplex on the dense bipartite
 instance: greedy capacity-respecting initialization, Dantzig entering rule,
-and randomized marginal perturbation against degenerate cycling.  Each pivot
-re-roots only the subtree the leaving arc cuts off, at the entering arc, and
-recomputes the potentials and reduced costs of that subtree's nodes alone.  The optimal basis is re-solved
-against the unperturbed marginals, so the reported plan and cost carry no
-perturbation.  No entropic or otherwise approximate scheme is involved
-anywhere; optimality is certified by the dual gap before returning.
+and randomized marginal perturbation against degenerate cycling.  The basis
+is one tree, held as per-node neighbour lists (sources 0..m-1, sinks
+m..m+k-1): the greedy arcs are joined into it, each pivot swaps one arc and
+re-roots only the subtree the leaving arc cuts off, recomputing the
+potentials and reduced costs of that subtree's nodes alone, and the optimal
+basis is re-solved against the unperturbed marginals by peeling its leaves,
+so the reported plan and cost carry no perturbation.  No entropic or
+otherwise approximate scheme is involved anywhere; optimality is certified
+by the dual gap before returning.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class TransportPlan:
         b = np.asarray(self.sink_marginal, dtype=float).reshape(-1)
         if flows.shape != (a.size, b.size):
             raise ValueError(f"flows shape {flows.shape} != ({a.size}, {b.size})")
+        for name, arr in (("flows", flows), ("source_marginal", a), ("sink_marginal", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(flows < 0):
             raise ValueError("flows must be nonnegative")
         row_err = np.abs(flows.sum(axis=1) - a).max()
@@ -67,14 +73,6 @@ class TransportPlan:
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "source_marginal", a)
         object.__setattr__(self, "sink_marginal", b)
-
-    @property
-    def n_sources(self) -> int:
-        return self.flows.shape[0]
-
-    @property
-    def n_sinks(self) -> int:
-        return self.flows.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,51 +141,50 @@ def _greedy_basis(cost, a, b):
     return arc_i, arc_j, flow
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
+    """Join the components of the basis graph into one spanning tree.
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
-def _complete_to_tree(arc_i, arc_j, flow, cost):
-    """Add zero-flow arcs until the basis graph spans all m+k nodes."""
+    adj holds each node's neighbours (sources 0..m-1, sinks m..m+k-1).  One
+    DFS from every unseen node in ascending order finds the components, each
+    from its smallest node; the first is home.  A later component joins home
+    by one zero-flow arc: its smallest source to the first cheapest home sink,
+    or a lone sink to the first cheapest home source, with home's sources and
+    sinks listed in component order, ascending within each.  The arcs are
+    appended in place to adj and to arc_i, arc_j and flow.
+    """
     m, k = cost.shape
-    uf = _UnionFind(m + k)
-    for i, j in zip(arc_i, arc_j):
-        uf.union(i, m + j)
-    roots: dict[int, list[int]] = {}
-    for node in range(m + k):
-        roots.setdefault(uf.find(node), []).append(node)
-    comps = sorted(roots.values(), key=lambda nodes: nodes[0])
-    home = comps[0]
-    for comp in comps[1:]:
-        sources = [n for n in comp if n < m]
-        if sources:
-            i = sources[0]
-            sinks_home = np.array([n - m for n in home if n >= m], dtype=np.intp)
-            j = int(sinks_home[np.argmin(cost[i, sinks_home])])
-        else:
-            j = comp[0] - m
-            srcs_home = np.array([n for n in home if n < m], dtype=np.intp)
-            i = int(srcs_home[np.argmin(cost[srcs_home, j])])
-        arc_i.append(i)
-        arc_j.append(j)
-        flow.append(0.0)
-        uf.union(i, m + j)
-        home = home + comp
-    return arc_i, arc_j, flow
+    seen = [False] * (m + k)
+    home_srcs: list[int] = []
+    home_sinks: list[int] = []
+    for start in range(m + k):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        comp.sort()
+        srcs = [n for n in comp if n < m]
+        sinks = [n - m for n in comp if n >= m]
+        if start:
+            if srcs:
+                i = srcs[0]
+                j = home_sinks[int(np.argmin(cost[i, home_sinks]))]
+            else:
+                j = sinks[0]
+                i = home_srcs[int(np.argmin(cost[home_srcs, j]))]
+            arc_i.append(i)
+            arc_j.append(j)
+            flow.append(0.0)
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+        home_srcs += srcs
+        home_sinks += sinks
 
 
 def _hang(top, adj, pred, pot, cost, m):
@@ -256,16 +253,17 @@ def _transportation_simplex(cost, a, b):
     b_p[int(np.argmax(b_p))] += a_p.sum() - b_p.sum()
 
     arc_i, arc_j, flow = _greedy_basis(cost, a_p, b_p)
-    arc_i, arc_j, flow = _complete_to_tree(arc_i, arc_j, flow, cost)
+    # the basis tree: each node's neighbours, kept current by every pivot
+    adj: list[list[int]] = [[] for _ in range(m + k)]
+    for i, j in zip(arc_i, arc_j):
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    _complete_to_tree(adj, arc_i, arc_j, flow, cost)
+    arc_pos = {(i, j): p for p, (i, j) in enumerate(zip(arc_i, arc_j))}
     arc_i = np.asarray(arc_i, dtype=np.intp)
     arc_j = np.asarray(arc_j, dtype=np.intp)
     flows_b = np.asarray(flow, dtype=float)
-    arc_pos = {(int(i), int(j)): p for p, (i, j) in enumerate(zip(arc_i, arc_j))}
 
-    adj: list[list[int]] = [[] for _ in range(m + k)]
-    for i, j in zip(arc_i.tolist(), arc_j.tolist()):
-        adj[i].append(m + j)
-        adj[m + j].append(i)
     pred = [m] * (m + k)
     pot = [0.0] * (m + k)
     sub = _hang(m, adj, pred, pot, cost, m)
@@ -330,48 +328,39 @@ def _transportation_simplex(cost, a, b):
         pot[top] = cost.item(ei, ej) - pot[parent]
         sub = _hang(top, adj, pred, pot, cost, m)
 
-    flows = _resolve_tree_flows(arc_i, arc_j, a, b, m, k)
+    flows = _resolve_tree_flows(adj, a, b, m, k)
     return flows, u, v, pivots
 
 
-def _resolve_tree_flows(arc_i, arc_j, a, b, m, k):
-    """Unique flows carried by a spanning basis for the exact marginals,
-    by peeling leaves; degenerate arcs may pick up tiny negatives, which are
-    clamped after a sanity bound."""
-    n_arcs = len(arc_i)
-    residual = np.concatenate([a, b])
-    heads = np.asarray(arc_i, dtype=np.intp)
-    tails = np.asarray(arc_j, dtype=np.intp) + m
-    incident: list[list[int]] = [[] for _ in range(m + k)]
-    for p in range(n_arcs):
-        incident[heads[p]].append(p)
-        incident[tails[p]].append(p)
-    degree = np.array([len(lst) for lst in incident])
-    alive = np.ones(n_arcs, dtype=bool)
+def _resolve_tree_flows(adj, a, b, m, k):
+    """Unique flows that the spanning basis tree adj carries for the exact
+    marginals a (sources) and b (sinks), by peeling leaves; degenerate arcs
+    may pick up tiny negatives, which are clamped after a sanity bound."""
+    residual = a.tolist() + b.tolist()
+    degree = [len(nbrs) for nbrs in adj]
     out = np.zeros((m, k))
     # peel source leaves before sink leaves: a source leaf's arc carries its
     # exact marginal, which keeps star-shaped bases free of subtraction noise
     src_stack = [n for n in range(m) if degree[n] == 1]
     sink_stack = [n for n in range(m, m + k) if degree[n] == 1]
-    values = np.zeros(n_arcs)
     while src_stack or sink_stack:
         node = src_stack.pop() if src_stack else sink_stack.pop()
         if degree[node] != 1:
             continue
-        arc = next(p for p in incident[node] if alive[p])
-        other = tails[arc] if heads[arc] == node else heads[arc]
-        values[arc] = residual[node]
+        # peeled neighbours are at degree 0, so this is the one arc left
+        other = next(y for y in adj[node] if degree[y])
+        if node < m:
+            out[node, other - m] = residual[node]
+        else:
+            out[other, node - m] = residual[node]
         residual[other] -= residual[node]
-        residual[node] = 0.0
-        alive[arc] = False
         degree[node] -= 1
         degree[other] -= 1
         if degree[other] == 1:
             (src_stack if other < m else sink_stack).append(other)
-    if values.min(initial=0.0) < -1e-7:
+    if out.min(initial=0.0) < -1e-7:
         raise RuntimeError("degenerate basis produced a materially negative flow")
-    np.maximum(values, 0.0, out=values)
-    out[np.asarray(arc_i, dtype=np.intp), np.asarray(arc_j, dtype=np.intp)] = values
+    np.maximum(out, 0.0, out=out)
     return out
 
 

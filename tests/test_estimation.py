@@ -196,8 +196,6 @@ def test_mmospa_weighted_run_is_pinned():
 
 @pytest.mark.parametrize("field, value", [
     ("restarts", 0), ("restarts", -1), ("max_iters", 0),
-    ("tol", -1e-12), ("tol", math.nan), ("tol", math.inf),
-    ("restart_scale", -0.5), ("restart_scale", math.nan), ("restart_scale", math.inf),
     ("seed", -1), ("seed", mospa_rng.MAX_SEED + 1),
 ])
 def test_mmospa_config_rejects_out_of_range(field, value):

@@ -10,6 +10,7 @@ from mospa import (
     EmpiricalMeasure,
     GaussianMixture,
     StackedState,
+    TransportPlan,
     build_region_measure,
     estimate_region_masses,
     gm_pdf,
@@ -167,6 +168,25 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.6])
     with pytest.raises(ValueError):
         EmpiricalMeasure(1, 1, [[0.0], [1.0]], [1.2, -0.2])
+
+
+# `x <= 0` and `abs(total - 1) > tol` are both False for NaN, and an
+# infinite variance passes the Cholesky checks, so each of these was once
+# accepted and turned later results into NaN
+@pytest.mark.parametrize("build, field", [
+    (lambda: EmpiricalMeasure(1, 1, [[0.0], [1.0]], [math.nan, 1.0]), "weights"),
+    (lambda: DiscreteMeasure(1, 1, [[0.0], [1.0]], [math.nan, 1.0]), "masses"),
+    (lambda: GaussianMixture.from_components(1, 1, [(math.nan, [0.0], [[1.0]])]), "weights"),
+    (lambda: GaussianMixture.from_components(1, 1, [(1.0, [math.nan], [[1.0]])]), "means"),
+    (lambda: GaussianMixture.from_components(1, 1, [(1.0, [0.0], [[math.inf]])]),
+     "covariances"),
+    (lambda: build_region_measure(StackedState(2, 1, [0.0, 1.0]), [math.nan, 1.0]), "masses"),
+    (lambda: TransportPlan(np.full((2, 2), math.nan), [0.5, 0.5], [0.5, 0.5]), "flows"),
+], ids=["empirical-weights", "discrete-masses", "mixture-weights", "mixture-means",
+        "mixture-covariances", "region-masses", "plan-flows"])
+def test_non_finite_values_are_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_discrete_measure_rejects_duplicate_atoms():

@@ -402,13 +402,25 @@ def _duplicate_grid_assignment():
             DiscreteMeasure(1, 2, sinks, uniform), None)
 
 
-# pivots and cost.hex() recorded from the full-recomputation simplex: the
-# subtree update must follow the same pivot path to the same bits
+def _lone_sink():
+    # the far atom's 1e-15 mass stays below the greedy start's rounding
+    # slack, so no source reaches it and tree completion must hang it off
+    # the cheapest source
+    points = np.random.default_rng(5).normal(size=(30, 1))
+    return (EmpiricalMeasure(1, 1, points, np.full(30, 1 / 30)),
+            DiscreteMeasure(1, 1, [[-1.0], [0.0], [1.0], [50.0]],
+                            [0.3, 0.4 - 1e-15, 0.3, 1e-15]), None)
+
+
+# pivots and cost.hex() recorded from the full-recomputation simplex (the
+# lone-sink case from the union-find tree completion): the subtree update
+# and the single basis tree must follow the same pivot path to the same bits
 @pytest.mark.parametrize("build, pivots, cost_hex", [
     (lambda: _same_sample_instance(41, 5, 1, 300, False), 59, "0x1.9eaaa5370e49bp+4"),
     (_duplicate_grid_assignment, 143, "0x1.2c00000000000p+3"),
     (lambda: _same_sample_instance(45, 4, 2, 300, True), 33, "0x1.1d25d4d914b8dp+7"),
-], ids=["same-sample-n5d1", "duplicate-grid", "q-weighted-n4d2"])
+    (_lone_sink, 9, "0x1.795541424983ep-3"),
+], ids=["same-sample-n5d1", "duplicate-grid", "q-weighted-n4d2", "lone-sink"])
 def test_pivot_path_is_pinned(build, pivots, cost_hex):
     sources, sinks, q = build()
     sol = solve_transport(sources, sinks, q)
