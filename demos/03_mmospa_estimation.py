@@ -36,6 +36,10 @@ def main():
     print(f"analytic target: [{-target:.6f} {target:.6f}]")
     print(f"iterations={result.iterations} restarts={result.restarts_used} "
           f"converged={result.converged}")
+    # a restart that reaches an estimate an earlier restart swept, and would
+    # descend as that one did from there, takes its outcome without sweeping
+    merged = sum(o.merged_into is not None for o in result.restart_outcomes)
+    print(f"restarts that merged into an earlier one: {merged} of {result.restarts_used}")
 
     posterior_mean = StackedState(2, 1, [0.0, 0.0])
     mse = mospa_mc(samples, posterior_mean)

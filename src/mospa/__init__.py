@@ -15,6 +15,7 @@ from .estimation import (
     MmospaConfig,
     MmospaResult,
     MospaEstimate,
+    RestartOutcome,
     mmospa_estimate,
     mospa_mc,
     scalar_sort_oracle,
@@ -70,6 +71,7 @@ __all__ = [
     "MospaEstimate",
     "Permutation",
     "RegionLabel",
+    "RestartOutcome",
     "Scenario",
     "ScenarioParseError",
     "StackedState",

@@ -10,9 +10,20 @@ step takes finitely many values, so the iteration terminates.
 
 One sweep over the samples yields both the objective and each sample's
 alignment, so the sweep that scores a new estimate also aligns the samples
-for the next step: a run costs one sweep plus one per averaging step.  A
-sweep keeps only each sample's best atom and its cost, one quadform.row_chunks
-chunk at a time, and sums the objective over fixed blocks of _CHUNK samples.
+for the next step: a run costs one sweep plus one per averaging step, up to
+an estimate that an earlier restart already swept (see below).  A sweep keeps
+only each sample's best atom and its cost, one quadform.row_chunks chunk at a
+time, and sums the objective over fixed blocks of _CHUNK samples.
+
+The next estimate depends only on the current one, so two restarts that
+reach bit-equal estimates share their future.  A restart that reaches
+estimate X at step t, where an earlier restart was at step s, takes that
+restart's outcome without sweeping when the earlier restart converged, went
+on past step s, t <= s, and the later restart's own stop test at X does not
+fire; when that stop test fires, the restart ends at X with the objective
+recorded there.  Either way every returned field is what the unmerged
+descent gives: a merged restart ends with an earlier restart's objective,
+which never beats the incumbent under the strict comparison.
 """
 
 from __future__ import annotations
@@ -53,6 +64,20 @@ class MmospaConfig:
 
 
 @dataclass(frozen=True)
+class RestartOutcome:
+    """Where one restart of the descent ended.
+
+    iterations and converged are what the restart's own descent gives;
+    merged_into names the earlier restart whose descent it joined, so that
+    it swept no further, or is None.
+    """
+    objective: float
+    iterations: int
+    converged: bool
+    merged_into: int | None
+
+
+@dataclass(frozen=True)
 class MmospaResult:
     estimate: StackedState
     empirical_mospa: float
@@ -60,6 +85,7 @@ class MmospaResult:
     restarts_used: int
     converged: bool
     descent_trace: tuple[float, ...] = field(repr=False)
+    restart_outcomes: tuple[RestartOutcome, ...] = field(repr=False)
 
 
 def mospa_mc(samples: EmpiricalMeasure, x_hat: StackedState, q=None) -> MospaEstimate:
@@ -161,7 +187,9 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     the rest from the mean plus the per-coordinate sample standard deviation
     times a standard normal draw) and keeps the run with the smallest
     empirical objective.  A run stops once an averaging step lowers the
-    objective by less than _TOL, or after config.max_iters steps.  The
+    objective by less than _TOL, or after config.max_iters steps; a run that
+    reaches an estimate an earlier run already swept may stop there (see the
+    module docstring) without changing any returned field.  The
     returned estimate is canonicalized by sorting target blocks
     lexicographically; the objective is invariant under that reorder.
     """
@@ -184,6 +212,8 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     centered_sq = _weighted_column_sum(weights, (points - mean) ** 2) / total
     std = np.sqrt(np.maximum(centered_sq, 0.0))
 
+    visited: dict[bytes, tuple[int, int, float]] = {}
+    outcomes: list[RestartOutcome] = []
     best_run = None
     for r in range(cfg.restarts):
         if r == 0:
@@ -191,13 +221,16 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
         else:
             eta = rng.normals(rng.derive_seed(cfg.seed, 101, r), np.zeros(1, dtype=np.uint64), n * d)[0]
             x0 = mean + std * eta
-        run = _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg)
+        run = _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg,
+                         r, visited, outcomes)
         if not np.isfinite(run[1]):
             raise RuntimeError("MMOSPA objective became non-finite")
+        outcomes.append(RestartOutcome(run[1], *run[3:]))
+        # a merged run ends with an earlier run's objective, so it never wins
         if best_run is None or run[1] < best_run[1]:
             best_run = run
 
-    xh, obj, trace, iterations, converged = best_run
+    xh, obj, trace, iterations, converged, _ = best_run
     estimate = StackedState(n, d, _canonical_blocks(xh.reshape(n, d)).reshape(-1))
     return MmospaResult(
         estimate=estimate,
@@ -206,21 +239,42 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
         restarts_used=cfg.restarts,
         converged=converged,
         descent_trace=tuple(trace),
+        restart_outcomes=tuple(outcomes),
     )
 
 
-def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg):
+def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg,
+               r, visited, outcomes):
+    """Restart r's descent from x0: (estimate, objective, trace, iterations,
+    converged, merged_into); a merged run has no estimate or trace.
+
+    visited maps the bytes of every estimate swept so far to the restart and
+    step that first swept it and the objective there; only entries of earlier
+    restarts are looked up.  outcomes holds the outcomes of restarts 0..r-1.
+    """
     xh = np.asarray(x0, dtype=float).reshape(-1)
-    obj_prev, best = _alignment_pass(points, weights, xh[atom_idx], q)
     trace: list[float] = []
     converged = False
-    obj = obj_prev
-    for _ in range(cfg.max_iters):
-        xh = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
-        obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
-        trace.append(obj)
-        if obj_prev - obj < _TOL:
-            converged = True
-            break
+    for t in range(cfg.max_iters + 1):
+        if t:
+            xh = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+        key = xh.tobytes()
+        hit = visited.get(key)
+        if hit is None or hit[0] == r:
+            obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
+            visited.setdefault(key, (r, t, obj))
+        elif t and obj_prev - hit[2] < _TOL:
+            obj = hit[2]  # what a sweep would give; the stop test below fires
+        else:
+            owner, s, obj = hit
+            done = outcomes[owner]
+            if done.converged and t <= s < done.iterations:
+                return None, done.objective, None, t + done.iterations - s, True, owner
+            obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
+        if t:
+            trace.append(obj)
+            if obj_prev - obj < _TOL:
+                converged = True
+                break
         obj_prev = obj
-    return xh, obj, trace, len(trace), converged
+    return xh, obj, trace, len(trace), converged, None

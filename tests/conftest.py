@@ -1,7 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mospa import GaussianMixture, Scenario, StackedState
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_env(**extra):
+    """os.environ plus `extra`, with this checkout's src first on PYTHONPATH,
+    so that `python -m mospa.cli` children import it without an install."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_spd(rng, dim, scale=1.0):

@@ -5,7 +5,6 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cli_env,
     normalized_weights,
     random_mixture,
     random_scenario,
@@ -266,9 +266,8 @@ def test_criterion_9_mmospa_descent_and_termination():
 def test_criterion_10_cli_determinism(tmp_path):
     def run(tag, threads, subcommand, extra):
         out = tmp_path / f"{tag}.csv"
-        env = dict(os.environ,
-                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+        env = cli_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                      MKL_NUM_THREADS=threads)
         res = subprocess.run(
             [sys.executable, "-m", "mospa.cli", subcommand, "--scenario", FIG,
              *extra, "--output", str(out)],

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,16 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cli_env
+
 FIG = str(Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "fig1.json")
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "mospa.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=cli_env(**(env_extra or {})),
     )
 
 
@@ -188,7 +186,7 @@ def _nonfinite_mmospa(monkeypatch):
     import mospa.estimation as estimation
 
     monkeypatch.setattr(estimation, "_lloyd_run",
-                        lambda points, weights, x0, *rest: (x0, float("nan"), [], 0, False))
+                        lambda points, weights, x0, *rest: (x0, float("nan"), [], 0, False, None))
     return ["mmospa"], "non-finite"
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from mospa import (
     EmpiricalMeasure,
     GaussianMixture,
     MmospaConfig,
+    RestartOutcome,
     StackedState,
     gm_sample,
     mmospa_estimate,
     mospa_mc,
+    parse_scenario,
     permutation_apply,
     permutation_enumerate,
     scalar_sort_oracle,
@@ -192,6 +195,178 @@ def test_mmospa_weighted_run_is_pinned():
         "0x1.5ce2595e8e486p+5", "0x1.57b41035a4c83p+5", "0x1.57450abb5478ep+5",
         "0x1.573b7b4d2ef50p+5", "0x1.573b255fc52a4p+5", "0x1.573b1fa3648c2p+5",
         "0x1.573b1f6630ab0p+5", "0x1.573b1f6630ab0p+5"]
+
+
+def _record_starts(monkeypatch):
+    """Spy on the per-restart descent; returns the list its arguments go to."""
+    calls = []
+    descend = estimation._lloyd_run
+
+    def spy(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(estimation, "_lloyd_run", spy)
+    return calls
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = estimation._alignment_pass
+
+    def counting(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(estimation, "_alignment_pass", counting)
+    return calls
+
+
+def _unmerged(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg):
+    """The descent of one restart with every step swept: (estimate, trace,
+    converged)."""
+    xh = np.asarray(x0, dtype=float).reshape(-1)
+    obj_prev, best = _alignment_pass(points, weights, xh[atom_idx], q)
+    trace, converged = [], False
+    for _ in range(cfg.max_iters):
+        xh = estimation._average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+        obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
+        trace.append(obj)
+        if obj_prev - obj < estimation._TOL:
+            converged = True
+            break
+        obj_prev = obj
+    return xh, trace, converged
+
+
+def _degenerate_samples(rng, n, d, kind):
+    # quarter-integer coordinates and weights 1/32 keep every mean exact
+    if kind == "constant":  # zero std: every restart starts at the mean
+        points = np.tile(rng.integers(-12, 12, size=n * d) / 4, (32, 1))
+    else:  # four distinct points, each repeated
+        points = np.repeat(rng.integers(-12, 12, size=(4, n * d)) / 4, 8, axis=0)
+    return EmpiricalMeasure(n, d, points, np.full(32, 1 / 32))
+
+
+@pytest.mark.parametrize("kind", ["mixture", "constant", "duplicates"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
+def test_mmospa_merged_restarts_match_the_unmerged_descent(monkeypatch, n, d, weighted, kind):
+    rng = np.random.default_rng(100 * n + 10 * d + weighted)
+    q = block_diagonal_q(rng, n, d) if weighted else None
+    if kind == "mixture":
+        emp = gm_sample(random_mixture(rng, n, d, 3), seed=n + d, m=600)
+    else:
+        emp = _degenerate_samples(rng, n, d, kind)
+    starts = _record_starts(monkeypatch)
+    merged = 0
+    for max_iters in (1, 2, 3, 100):
+        starts.clear()
+        res = mmospa_estimate(emp, config=MmospaConfig(max_iters=max_iters, seed=n * d, restarts=8),
+                              q=q)
+        runs = [_unmerged(*args[:10]) for args in starts]
+        assert len(runs) == 8
+        objs = [trace[-1] for _, trace, _ in runs]
+        assert [(o.objective, o.iterations, o.converged) for o in res.restart_outcomes] == [
+            (obj, len(trace), converged) for obj, (_, trace, converged) in zip(objs, runs)]
+        for r, o in enumerate(res.restart_outcomes):
+            if o.merged_into is not None:
+                assert o.merged_into < r and o.converged
+                merged += 1
+        win = min(range(8), key=lambda r: (objs[r], r))  # the first of the smallest
+        xh, trace, converged = runs[win]
+        expected = estimation._canonical_blocks(xh.reshape(n, d)).reshape(-1)
+        assert res.estimate.data.tobytes() == expected.tobytes()
+        assert res.empirical_mospa.hex() == objs[win].hex()
+        assert (res.iterations, res.converged, res.restarts_used) == (len(trace), converged, 8)
+        assert res.descent_trace == tuple(trace)
+    if kind == "constant":
+        assert merged > 0
+
+
+def test_mmospa_restarts_merge_on_the_readme_shape(monkeypatch):
+    # the README mmospa scenario, at fewer samples: after one averaging step
+    # every restart but two is at the step-1 estimate of one of those two and
+    # takes its outcome; unmerged, the 16 restarts swept 48 times
+    sc = parse_scenario(Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+                        / "two_iid_normals.json")
+    emp = gm_sample(sc.mixture, sc.seed, 20000)
+    sweeps = _count_sweeps(monkeypatch)
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=mospa_rng.derive_seed(sc.seed, 11)))
+    outcomes = res.restart_outcomes
+    assert sum(1 + o.iterations for o in outcomes) == 48
+    own = [r for r, o in enumerate(outcomes) if o.merged_into is None]
+    assert len(own) == 2
+    assert all(o.merged_into in own for o in outcomes if o.merged_into is not None)
+    assert all(o.objective == res.empirical_mospa for o in outcomes)
+    assert len(sweeps) == 3 + 3 + 14  # steps 0-2 of the two, step 0 of the rest
+
+
+def _constant_samples(point):
+    # four equal samples with weight 1/4: every average is exact, so one
+    # averaging step lands bit for bit on the sample, as do the later starts
+    return EmpiricalMeasure(2, 1, np.tile(point, (4, 1)), np.full(4, 0.25))
+
+
+def test_mmospa_does_not_merge_into_a_truncated_restart(monkeypatch):
+    emp = gm_sample(random_mixture(np.random.default_rng(81), 2, 2, 3), seed=2, m=3000)
+    starts = _record_starts(monkeypatch)
+    mmospa_estimate(emp, config=MmospaConfig(seed=7, restarts=2))
+    start1 = starts[1][2]
+    # restart 0 begins where restart 1 does and is cut off at max_iters, so
+    # restart 1 cannot know where its descent would go after that
+    sweeps = _count_sweeps(monkeypatch)
+    res = mmospa_estimate(emp, init=StackedState(2, 2, start1),
+                          config=MmospaConfig(seed=7, restarts=2, max_iters=2))
+    first, second = res.restart_outcomes
+    assert not first.converged and first.iterations == 2
+    assert second == RestartOutcome(first.objective, 2, False, None)
+    assert len(sweeps) == 6
+
+
+def test_mmospa_does_not_merge_at_the_step_an_earlier_restart_stopped():
+    point = np.array([-1.0, 2.0])
+    emp = _constant_samples(point)
+    # restart 0 stops at step 1, on the sample itself; restart 1 starts there
+    # (zero std) and still takes one averaging step of its own
+    res = mmospa_estimate(emp, init=StackedState(2, 1, point + 1e-6),
+                          config=MmospaConfig(restarts=2))
+    first, second = res.restart_outcomes
+    assert first == RestartOutcome(0.0, 1, True, None)
+    assert second == RestartOutcome(0.0, 1, True, None)
+
+
+def test_mmospa_merges_into_a_restart_that_went_on(monkeypatch):
+    point = np.array([-1.0, 2.0])
+    emp = _constant_samples(point)
+    sweeps = _count_sweeps(monkeypatch)
+    res = mmospa_estimate(emp, init=StackedState(2, 1, [-3.0, 5.0]),
+                          config=MmospaConfig(restarts=2))
+    # restart 0: far start, the sample at step 1, the same estimate at step 2;
+    # restart 1 starts at the sample and joins restart 0 at its step 1
+    first, second = res.restart_outcomes
+    assert first == RestartOutcome(0.0, 2, True, None)
+    assert second == RestartOutcome(0.0, 1, True, 0)
+    assert res.descent_trace == (0.0, 0.0)
+    assert len(sweeps) == 3
+
+
+def test_mmospa_stops_at_a_visited_estimate_when_its_own_test_fires(monkeypatch):
+    delta = 2.0**-20
+    point = np.array([-1.0, 2.0])
+    # two samples at +-delta: the mean is the midpoint exactly and the std is
+    # delta, so restart 1 starts within ~delta of it
+    emp = EmpiricalMeasure(2, 1, [point + delta, point - delta], [0.5, 0.5])
+    sweeps = _count_sweeps(monkeypatch)
+    res = mmospa_estimate(emp, init=StackedState(2, 1, [-3.0, 5.0]),
+                          config=MmospaConfig(restarts=2))
+    first, second = res.restart_outcomes
+    floor = 2 * delta**2
+    assert first == RestartOutcome(floor, 2, True, None)
+    # restart 1 reaches the midpoint at step 1, where restart 0 went on; its
+    # own stop test fires there, so it ends after one step, not two
+    assert second == RestartOutcome(floor, 1, True, None)
+    assert len(sweeps) == 3 + 1
 
 
 @pytest.mark.parametrize("field, value", [
