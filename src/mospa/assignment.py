@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import CapacityError
 from .quadform import batch_block_cost_matrices, target_block_forms
@@ -71,6 +70,8 @@ def _completion_value(c: np.ndarray, rows: list[int], cols: list[int]) -> float:
         r0, r1 = rows
         c0, c1 = cols
         return float(min(c[r0, c0] + c[r1, c1], c[r0, c1] + c[r1, c0]))
+    from scipy.optimize import linear_sum_assignment
+
     sub = c[np.ix_(rows, cols)]
     ri, ci = linear_sum_assignment(sub)
     return float(sub[ri, ci].sum())
@@ -78,6 +79,8 @@ def _completion_value(c: np.ndarray, rows: list[int], cols: list[int]) -> float:
 
 def _solve_square(c: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Optimal permutation with lexicographic tie-break; c is pre-validated."""
+    from scipy.optimize import linear_sum_assignment
+
     n = c.shape[0]
     ri, ci = linear_sum_assignment(c)
     target = float(c[ri, ci].sum())
@@ -272,6 +275,8 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
             for s, c in enumerate(cs, lo):
                 mappings[s], costs[s] = _solve_square(c)
         else:
+            from scipy.optimize import linear_sum_assignment
+
             for s, c in enumerate(cs, lo):
                 ri, ci = linear_sum_assignment(c)
                 costs[s] = c[ri, ci].sum()

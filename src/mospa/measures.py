@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from . import rng
 from .metrics import batch_region_ranks, has_duplicate_blocks
-from .states import StackedState, permuted_atoms
+from .states import StackedState, _check_target_count, permuted_atoms
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,22 +189,24 @@ def gm_pdf(mixture: GaussianMixture, x: StackedState) -> float:
     log_terms = np.empty(mixture.n_components)
     for c in range(mixture.n_components):
         chol = mixture._chols[c]
-        y = solve_triangular(chol, x.data - mixture.means[c], lower=True)
+        y = np.linalg.solve(chol, x.data - mixture.means[c])
         maha = float(y @ y)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         log_terms[c] = (
             math.log(mixture.weights[c])
             - 0.5 * (maha + log_det + mixture.dim * math.log(2.0 * math.pi))
         )
-    return float(np.exp(logsumexp(log_terms)))
+    return float(np.exp(np.logaddexp.reduce(log_terms)))
 
 
 def estimate_region_masses(samples: EmpiricalMeasure, x_hat: StackedState, q=None) -> np.ndarray:
     """Sample weight captured by each permutation region, canonical order.
 
     Returns n_targets! masses summing to exactly 1.0 (the largest mass absorbs
-    the final-ulp rounding of the float partition).
+    the final-ulp rounding of the float partition).  Raises CapacityError
+    for n_targets > MAX_TARGETS before any sample is assigned.
     """
+    _check_target_count(x_hat.n_targets)
     ranks = batch_region_ranks(samples.points, x_hat, q)
     n_regions = math.factorial(x_hat.n_targets)
     masses = np.bincount(ranks, weights=samples.weights, minlength=n_regions)

@@ -185,8 +185,9 @@ def _shifted_duals(monkeypatch):
 def _nonfinite_mmospa(monkeypatch):
     import mospa.estimation as estimation
 
-    monkeypatch.setattr(estimation, "_lloyd_run",
-                        lambda points, weights, x0, *rest: (x0, float("nan"), [], 0, False, None))
+    sweep = estimation._alignment_pass
+    monkeypatch.setattr(estimation, "_alignment_pass",
+                        lambda *args: (float("nan"), sweep(*args)[1]))
     return ["mmospa"], "non-finite"
 
 
@@ -246,6 +247,38 @@ def test_oversize_transport_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "cap" in err
+
+
+@pytest.mark.parametrize("command", ["masses", "wasserstein", "verify"])
+def test_nine_targets_exit_1_before_region_masses(command, monkeypatch, tmp_path, capsys):
+    import mospa.cli as cli
+    import mospa.measures as measures
+
+    def unreachable(*args):
+        raise AssertionError("samples were assigned to regions")
+
+    monkeypatch.setattr(measures, "batch_region_ranks", unreachable)
+    scen = {"n_targets": 9, "state_dim": 1, "seed": 3, "sample_count": 50,
+            "mixture": [{"weight": 1.0, "mean": [float(i) for i in range(9)],
+                         "cov": np.eye(9).tolist()}]}
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(scen))
+    code = cli.run([command, "--scenario", str(path), "--x-hat=0,1,2,3,4,5,6,7,8",
+                    "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "target count 9" in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the routes that call it (assignment at n > 8)
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mospa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_byte_identical_reruns_across_thread_counts(tmp_path):

@@ -135,8 +135,9 @@ def test_mmospa_weighted_variant_descends():
 
 
 def test_mmospa_sweeps_once_per_step(monkeypatch):
-    # one sweep at the start, then one per averaging step: the sweep that
-    # scores an estimate also aligns the samples for the next step
+    # one sweep per distinct estimate: the sweep that scores an estimate also
+    # aligns the samples for the next step, and the last averaging step lands
+    # bit for bit on the estimate before it, which is not swept again
     calls = []
     kernel = estimation.point_cost_matrix
 
@@ -149,7 +150,8 @@ def test_mmospa_sweeps_once_per_step(monkeypatch):
     assert len(list(row_chunks(len(emp), 2, emp.dim))) == 1  # one cost chunk per sweep
     res = mmospa_estimate(emp, config=MmospaConfig(seed=4, restarts=1))
     assert res.iterations >= 3
-    assert calls == [len(emp)] * (1 + res.iterations)
+    assert res.restart_outcomes[0].sweeps == 6
+    assert calls == [len(emp)] * 6
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -211,11 +213,12 @@ def _record_starts(monkeypatch):
 
 
 def _count_sweeps(monkeypatch):
+    """Spy on the sweep; returns the list of the swept atoms' bytes."""
     calls = []
     sweep = estimation._alignment_pass
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args[2].tobytes())
         return sweep(*args)
 
     monkeypatch.setattr(estimation, "_alignment_pass", counting)
@@ -259,9 +262,11 @@ def test_mmospa_merged_restarts_match_the_unmerged_descent(monkeypatch, n, d, we
     else:
         emp = _degenerate_samples(rng, n, d, kind)
     starts = _record_starts(monkeypatch)
-    merged = 0
+    sweeps = _count_sweeps(monkeypatch)
+    idle = 0
     for max_iters in (1, 2, 3, 100):
         starts.clear()
+        sweeps.clear()
         res = mmospa_estimate(emp, config=MmospaConfig(max_iters=max_iters, seed=n * d, restarts=8),
                               q=q)
         runs = [_unmerged(*args[:10]) for args in starts]
@@ -269,10 +274,9 @@ def test_mmospa_merged_restarts_match_the_unmerged_descent(monkeypatch, n, d, we
         objs = [trace[-1] for _, trace, _ in runs]
         assert [(o.objective, o.iterations, o.converged) for o in res.restart_outcomes] == [
             (obj, len(trace), converged) for obj, (_, trace, converged) in zip(objs, runs)]
-        for r, o in enumerate(res.restart_outcomes):
-            if o.merged_into is not None:
-                assert o.merged_into < r and o.converged
-                merged += 1
+        # each distinct estimate is swept once per call
+        assert len(set(sweeps)) == len(sweeps) == sum(o.sweeps for o in res.restart_outcomes)
+        idle += sum(o.sweeps == 0 for o in res.restart_outcomes)
         win = min(range(8), key=lambda r: (objs[r], r))  # the first of the smallest
         xh, trace, converged = runs[win]
         expected = estimation._canonical_blocks(xh.reshape(n, d)).reshape(-1)
@@ -281,13 +285,13 @@ def test_mmospa_merged_restarts_match_the_unmerged_descent(monkeypatch, n, d, we
         assert (res.iterations, res.converged, res.restarts_used) == (len(trace), converged, 8)
         assert res.descent_trace == tuple(trace)
     if kind == "constant":
-        assert merged > 0
+        assert idle > 0
 
 
 def test_mmospa_restarts_merge_on_the_readme_shape(monkeypatch):
     # the README mmospa scenario, at fewer samples: after one averaging step
-    # every restart but two is at the step-1 estimate of one of those two and
-    # takes its outcome; unmerged, the 16 restarts swept 48 times
+    # every restart but two is at the step-1 estimate of one of those two,
+    # and step 2 repeats step 1; unmerged, the 16 restarts swept 48 times
     sc = parse_scenario(Path(__file__).resolve().parent.parent / "demos" / "scenarios"
                         / "two_iid_normals.json")
     emp = gm_sample(sc.mixture, sc.seed, 20000)
@@ -295,11 +299,9 @@ def test_mmospa_restarts_merge_on_the_readme_shape(monkeypatch):
     res = mmospa_estimate(emp, config=MmospaConfig(seed=mospa_rng.derive_seed(sc.seed, 11)))
     outcomes = res.restart_outcomes
     assert sum(1 + o.iterations for o in outcomes) == 48
-    own = [r for r, o in enumerate(outcomes) if o.merged_into is None]
-    assert len(own) == 2
-    assert all(o.merged_into in own for o in outcomes if o.merged_into is not None)
+    assert [o.sweeps for o in outcomes] == [2, 1, 2] + [1] * 13
     assert all(o.objective == res.empirical_mospa for o in outcomes)
-    assert len(sweeps) == 3 + 3 + 14  # steps 0-2 of the two, step 0 of the rest
+    assert len(sweeps) == 2 + 2 + 14  # steps 0-1 of the two, step 0 of the rest
 
 
 def _constant_samples(point):
@@ -313,15 +315,15 @@ def test_mmospa_does_not_merge_into_a_truncated_restart(monkeypatch):
     starts = _record_starts(monkeypatch)
     mmospa_estimate(emp, config=MmospaConfig(seed=7, restarts=2))
     start1 = starts[1][2]
-    # restart 0 begins where restart 1 does and is cut off at max_iters, so
-    # restart 1 cannot know where its descent would go after that
+    # restart 0 begins where restart 1 does and is cut off at max_iters;
+    # restart 1 replays its steps without a sweep and is cut off there too
     sweeps = _count_sweeps(monkeypatch)
     res = mmospa_estimate(emp, init=StackedState(2, 2, start1),
                           config=MmospaConfig(seed=7, restarts=2, max_iters=2))
     first, second = res.restart_outcomes
     assert not first.converged and first.iterations == 2
-    assert second == RestartOutcome(first.objective, 2, False, None)
-    assert len(sweeps) == 6
+    assert second == RestartOutcome(first.objective, 2, False, 0)
+    assert len(sweeps) == 3
 
 
 def test_mmospa_does_not_merge_at_the_step_an_earlier_restart_stopped():
@@ -332,8 +334,8 @@ def test_mmospa_does_not_merge_at_the_step_an_earlier_restart_stopped():
     res = mmospa_estimate(emp, init=StackedState(2, 1, point + 1e-6),
                           config=MmospaConfig(restarts=2))
     first, second = res.restart_outcomes
-    assert first == RestartOutcome(0.0, 1, True, None)
-    assert second == RestartOutcome(0.0, 1, True, None)
+    assert first == RestartOutcome(0.0, 1, True, 2)
+    assert second == RestartOutcome(0.0, 1, True, 0)
 
 
 def test_mmospa_merges_into_a_restart_that_went_on(monkeypatch):
@@ -342,13 +344,13 @@ def test_mmospa_merges_into_a_restart_that_went_on(monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     res = mmospa_estimate(emp, init=StackedState(2, 1, [-3.0, 5.0]),
                           config=MmospaConfig(restarts=2))
-    # restart 0: far start, the sample at step 1, the same estimate at step 2;
-    # restart 1 starts at the sample and joins restart 0 at its step 1
+    # restart 0: far start, the sample at step 1, the same estimate at step 2
+    # (not swept again); restart 1 starts at the sample and sweeps nothing
     first, second = res.restart_outcomes
-    assert first == RestartOutcome(0.0, 2, True, None)
+    assert first == RestartOutcome(0.0, 2, True, 2)
     assert second == RestartOutcome(0.0, 1, True, 0)
     assert res.descent_trace == (0.0, 0.0)
-    assert len(sweeps) == 3
+    assert len(sweeps) == 2
 
 
 def test_mmospa_stops_at_a_visited_estimate_when_its_own_test_fires(monkeypatch):
@@ -362,11 +364,12 @@ def test_mmospa_stops_at_a_visited_estimate_when_its_own_test_fires(monkeypatch)
                           config=MmospaConfig(restarts=2))
     first, second = res.restart_outcomes
     floor = 2 * delta**2
-    assert first == RestartOutcome(floor, 2, True, None)
+    assert first == RestartOutcome(floor, 2, True, 2)
     # restart 1 reaches the midpoint at step 1, where restart 0 went on; its
-    # own stop test fires there, so it ends after one step, not two
-    assert second == RestartOutcome(floor, 1, True, None)
-    assert len(sweeps) == 3 + 1
+    # own stop test fires there, so it ends after one step, not two, and
+    # sweeps only its start
+    assert second == RestartOutcome(floor, 1, True, 1)
+    assert len(sweeps) == 2 + 1
 
 
 @pytest.mark.parametrize("field, value", [

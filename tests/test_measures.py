@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_mixture, two_mode_mixture
 from mospa import (
+    CapacityError,
     DegenerateEstimateWarning,
     DiscreteMeasure,
     EmpiricalMeasure,
@@ -134,6 +135,19 @@ def test_region_masses_degenerate_estimate_warns():
     with pytest.warns(DegenerateEstimateWarning):
         masses = estimate_region_masses(emp, StackedState(2, 1, [2.0, 2.0]))
     assert masses.sum() == 1.0
+
+
+def test_region_masses_refuse_nine_targets_before_assigning(monkeypatch):
+    # 9 targets have 9! = 362880 regions: refused before any sample is ranked
+    from mospa import measures
+
+    def unreachable(*args):
+        raise AssertionError("samples were assigned")
+
+    monkeypatch.setattr(measures, "batch_region_ranks", unreachable)
+    emp = EmpiricalMeasure(9, 1, np.arange(18.0).reshape(2, 9), [0.5, 0.5])
+    with pytest.raises(CapacityError, match="target count 9"):
+        estimate_region_masses(emp, StackedState(9, 1, np.arange(9.0)))
 
 
 def test_build_region_measure_single_target():
