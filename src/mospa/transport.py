@@ -5,12 +5,15 @@ instance: greedy capacity-respecting initialization, Dantzig entering rule,
 and randomized marginal perturbation against degenerate cycling.  The basis
 is one tree, held as per-node neighbour lists (sources 0..m-1, sinks
 m..m+k-1): the greedy arcs are joined into it, each pivot swaps one arc and
-re-roots only the subtree the leaving arc cuts off, recomputing the
-potentials and reduced costs of that subtree's nodes alone, and the optimal
-basis is re-solved against the unperturbed marginals by peeling its leaves,
-so the reported plan and cost carry no perturbation.  No entropic or
-otherwise approximate scheme is involved anywhere; optimality is certified
-by the dual gap before returning.
+re-roots only the subtree the leaving arc cuts off, recomputing that
+subtree's potentials alone, and the optimal basis is re-solved against the
+unperturbed marginals by peeling its leaves, so the reported plan and cost
+carry no perturbation.  Pricing keeps each source row's least reduced cost
+and its first column, never the whole reduced-cost matrix: after a pivot the
+re-rooted rows are recomputed, and every other row compares its cached
+minimum with the re-rooted columns, read from a transposed copy of the
+costs.  No entropic or otherwise approximate scheme is involved anywhere;
+optimality is certified by the dual gap before returning.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .measures import (
     gm_sample,
 )
 from .quadform import point_cost_matrix, validate_spd
-from .states import StackedState
+from .states import StackedState, _check_target_count
 
 _MARGINAL_TOL = 1e-9
 # Cap on the number of empirical sources fed to the LP inside the independent
@@ -39,9 +42,10 @@ _MARGINAL_TOL = 1e-9
 _W2_SOURCE_CAP = 2048
 _PERTURB_SEED = 0x5EED_0F_CABBA9E5
 # Cap on sources x sinks: 2**25 entries is 256 MiB per dense float64 array,
-# and a solve holds about five (cost, reduced costs, resolved and kept flows,
-# the plan).  Larger requests are refused before any is allocated, since
-# under memory overcommit the allocation can succeed and the process die later.
+# and a solve holds about four (cost, its transposed copy cost.T, the flows
+# on the kept sinks, the plan).  Larger requests are refused before any is
+# allocated, since under memory overcommit the allocation can succeed and the
+# process die later.
 _MAX_COST_ENTRIES = 1 << 25
 
 
@@ -118,6 +122,9 @@ def _greedy_basis(cost, a, b):
     m, k = cost.shape
     res = b.copy()
     avail = res > 0
+    # each row's first cheapest sink; the masked search runs only once that
+    # sink is exhausted, and finds the same first minimum while it is not
+    first = cost.argmin(axis=1).tolist()
     arc_i: list[int] = []
     arc_j: list[int] = []
     flow: list[float] = []
@@ -125,10 +132,11 @@ def _greedy_basis(cost, a, b):
     for i in range(m):
         need = a[i]
         while need > slack:
-            masked = np.where(avail, cost[i], np.inf)
-            j = int(np.argmin(masked))
+            j = first[i]
             if not avail[j]:
-                break  # capacity exhausted by rounding slack
+                j = int(np.argmin(np.where(avail, cost[i], np.inf)))
+                if not avail[j]:
+                    break  # capacity exhausted by rounding slack
             take = min(need, res[j])
             arc_i.append(i)
             arc_j.append(j)
@@ -191,20 +199,22 @@ def _hang(top, adj, pred, pot, cost, m):
     """Set pred and potentials below `top`, whose own are already set,
     walking the basis tree top-down away from pred[top]; returns the nodes
     of the subtree, `top` first.  Each potential follows u_i + v_j = c_ij from
-    its parent, so it depends only on the node's path to the root."""
+    its parent, so it depends only on the node's path to the root.  Leaves
+    are not pushed: they have no children to visit."""
     item = cost.item
     nodes = [top]
     stack = [top]
     while stack:
         x = stack.pop()
         px = pred[x]
-        pot_x = pot[x]
+        pot_x = pot.item(x)
         for y in adj[x]:
             if y != px:
                 pred[y] = x
                 pot[y] = (item(y, x - m) if x >= m else item(x, y - m)) - pot_x
                 nodes.append(y)
-                stack.append(y)
+                if len(adj[y]) > 1:
+                    stack.append(y)
     return nodes
 
 
@@ -265,29 +275,25 @@ def _transportation_simplex(cost, a, b):
     flows_b = np.asarray(flow, dtype=float)
 
     pred = [m] * (m + k)
-    pot = [0.0] * (m + k)
-    sub = _hang(m, adj, pred, pot, cost, m)
-    if len(sub) != m + k:
+    pot = np.zeros(m + k)
+    u, v = pot[:m], pot[m:]  # views: _hang writes the potentials in place
+    if len(_hang(m, adj, pred, pot, cost, m)) != m + k:
         raise RuntimeError("basis graph is not spanning")
-    reduced = np.empty_like(cost)
+    # Dantzig pricing by row: each row's least reduced cost (c_ij - u_i) - v_j,
+    # basis arcs counted as 0, and its first column at that value, so the
+    # entering arc is the row-major first minimum of the whole matrix
+    cost_t = np.ascontiguousarray(cost.T)
+    row_min = np.empty(m)
+    row_arg = np.empty(m, dtype=np.intp)
+    _reprice(np.arange(m), cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg)
 
     max_pivots = 50 * (m + k) + 1000
     pivots = 0
     while True:
-        # only the rows and columns of the re-hung nodes see new potentials
-        # (all of them on the first pass)
-        sub = np.array(sub)
-        rows = sub[sub < m]
-        cols = sub[sub >= m] - m
-        u = np.array(pot[:m])
-        v = np.array(pot[m:])
-        reduced[rows] = cost[rows] - u[rows, None] - v[None, :]
-        reduced[:, cols] = cost[:, cols] - u[:, None] - v[None, cols]
-        reduced[arc_i, arc_j] = 0.0
-        flat = int(np.argmin(reduced))
-        ei, ej = divmod(flat, k)
-        if reduced[ei, ej] >= -reduced_tol:
+        ei = int(row_min.argmin())
+        if row_min[ei] >= -reduced_tol:
             break
+        ej = int(row_arg[ei])
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError(f"transportation simplex exceeded {max_pivots} pivots")
@@ -325,11 +331,58 @@ def _transportation_simplex(cost, a, b):
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
         pred[top] = parent
-        pot[top] = cost.item(ei, ej) - pot[parent]
-        sub = _hang(top, adj, pred, pot, cost, m)
+        pot[top] = cost.item(ei, ej) - pot.item(parent)
+        sub = np.array(_hang(top, adj, pred, pot, cost, m))
+        _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg)
 
     flows = _resolve_tree_flows(adj, a, b, m, k)
     return flows, u, v, pivots
+
+
+def _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg):
+    """Refresh the row pricing cache after the nodes `sub` got new potentials.
+
+    A row of `sub`, or a row whose cached first minimum lies in a column of
+    `sub`, is recomputed in full.  Any other row keeps its columns outside
+    `sub` and their first minimum, and compares it with the first minimum of
+    its columns in `sub`, read from cost_t (cost transposed, contiguous) in
+    ascending column order; a tie goes to the smaller column.
+    """
+    m, k = cost.shape
+    cols = np.sort(sub[sub >= m] - m)
+    full = np.zeros(m, dtype=bool)
+    full[sub[sub < m]] = True
+    if cols.size:
+        block = cost_t[cols]
+        block -= u
+        block -= v[cols, None]
+        pos = np.full(k, -1)
+        pos[cols] = np.arange(cols.size)
+        hit = pos[arc_j] >= 0
+        block[pos[arc_j[hit]], arc_i[hit]] = 0.0
+        cmin = np.minimum.reduce(block, axis=0)
+        full |= pos[row_arg] >= 0
+        cand = np.flatnonzero((cmin <= row_min) & ~full)
+        if cand.size:
+            new_min = cmin[cand]
+            new_arg = cols[block[:, cand].argmin(axis=0)]
+            old_arg = row_arg[cand]
+            row_arg[cand] = np.where(new_min < row_min[cand], new_arg,
+                                     np.minimum(old_arg, new_arg))
+            row_min[cand] = new_min
+        del block
+    rows = np.flatnonzero(full)
+    if rows.size:
+        reduced = cost[rows]
+        reduced -= u[rows, None]
+        reduced -= v
+        pos = np.full(m, -1)
+        pos[rows] = np.arange(rows.size)
+        hit = pos[arc_i] >= 0
+        reduced[pos[arc_i[hit]], arc_j[hit]] = 0.0
+        arg = reduced.argmin(axis=1)
+        row_arg[rows] = arg
+        row_min[rows] = reduced[np.arange(rows.size), arg]
 
 
 def _resolve_tree_flows(adj, a, b, m, k):
@@ -446,10 +499,12 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
     every coupling is bounded below pointwise), so the tolerance is 1e-8
     relative.  independent mode estimates the region masses, the MOSPA
     average, and the transport side on disjoint draws and compares at 4
-    combined standard errors.
+    combined standard errors.  Raises CapacityError for n_targets >
+    MAX_TARGETS before any sample is drawn.
     """
     if mode not in ("same-sample", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_target_count(x_hat.n_targets)
     mixture = scenario.mixture
     m = int(m if m is not None else scenario.sample_count)
     seed = scenario.seed

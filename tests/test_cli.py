@@ -249,6 +249,15 @@ def test_oversize_transport_exits_1(tmp_path, capsys):
     assert err.startswith("validation error: ") and "cap" in err
 
 
+def _nine_target_scenario(tmp_path):
+    scen = {"n_targets": 9, "state_dim": 1, "seed": 3, "sample_count": 50,
+            "mixture": [{"weight": 1.0, "mean": [float(i) for i in range(9)],
+                         "cov": np.eye(9).tolist()}]}
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(scen))
+    return str(path)
+
+
 @pytest.mark.parametrize("command", ["masses", "wasserstein", "verify"])
 def test_nine_targets_exit_1_before_region_masses(command, monkeypatch, tmp_path, capsys):
     import mospa.cli as cli
@@ -258,12 +267,25 @@ def test_nine_targets_exit_1_before_region_masses(command, monkeypatch, tmp_path
         raise AssertionError("samples were assigned to regions")
 
     monkeypatch.setattr(measures, "batch_region_ranks", unreachable)
-    scen = {"n_targets": 9, "state_dim": 1, "seed": 3, "sample_count": 50,
-            "mixture": [{"weight": 1.0, "mean": [float(i) for i in range(9)],
-                         "cov": np.eye(9).tolist()}]}
-    path = tmp_path / "nine.json"
-    path.write_text(json.dumps(scen))
-    code = cli.run([command, "--scenario", str(path), "--x-hat=0,1,2,3,4,5,6,7,8",
+    code = cli.run([command, "--scenario", _nine_target_scenario(tmp_path),
+                    "--x-hat=0,1,2,3,4,5,6,7,8", "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "target count 9" in err
+
+
+@pytest.mark.parametrize("mode", ["same-sample", "independent"])
+def test_nine_target_verify_exits_1_before_sampling(mode, monkeypatch, tmp_path, capsys):
+    import mospa.cli as cli
+    import mospa.transport as transport
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify drew samples or ran MOSPA")
+
+    monkeypatch.setattr(transport, "gm_sample", unreachable)
+    monkeypatch.setattr(transport, "mospa_mc", unreachable)
+    code = cli.run(["verify", "--scenario", _nine_target_scenario(tmp_path),
+                    "--x-hat=0,1,2,3,4,5,6,7,8", "--mode", mode,
                     "--output", str(tmp_path / "out.csv")])
     assert code == 1
     err = capsys.readouterr().err

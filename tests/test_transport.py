@@ -15,6 +15,7 @@ from conftest import (
 from mospa import (
     DiscreteMeasure,
     EmpiricalMeasure,
+    GaussianMixture,
     Scenario,
     StackedState,
     TransportPlan,
@@ -28,10 +29,19 @@ from mospa import (
     verify_mospa_wasserstein,
     w2_squared,
 )
+from mospa import rng as counter_rng
 from mospa import transport
 from mospa.geometry import WeightedSites, power_costs
+from mospa.quadform import point_cost_matrix
 from mospa.states import permuted_atoms
-from mospa.transport import _transportation_simplex
+from mospa.transport import (
+    _complete_to_tree,
+    _cycle_nodes,
+    _hang,
+    _perturbation,
+    _resolve_tree_flows,
+    _transportation_simplex,
+)
 
 
 def linprog_transport_cost(cost, a, b):
@@ -435,3 +445,153 @@ def test_pivot_path_is_pinned(build, pivots, cost_hex):
     assert slack.min() >= -tol
     assert 0.0 <= sol.dual_gap <= 1e-7 * max(1.0, sol.cost)
     assert 0.0 < sol.perturbation <= 1e-11 / len(sources) ** 2
+
+
+def _masked_greedy_basis(cost, a, b):
+    """The greedy start by one masked argmin per arc."""
+    m, k = cost.shape
+    res = b.copy()
+    avail = res > 0
+    arc_i, arc_j, flow = [], [], []
+    slack = 1e-14 * a.sum()
+    for i in range(m):
+        need = a[i]
+        while need > slack:
+            j = int(np.argmin(np.where(avail, cost[i], np.inf)))
+            if not avail[j]:
+                break
+            take = min(need, res[j])
+            arc_i.append(i)
+            arc_j.append(j)
+            flow.append(take)
+            res[j] -= take
+            need -= take
+            if res[j] <= 0:
+                res[j] = 0.0
+                avail[j] = False
+    return arc_i, arc_j, flow
+
+
+def dense_pricing_simplex(cost, a, b):
+    """Reference transportation simplex that prices from a dense (m, k)
+    reduced-cost matrix: the rows and columns of the re-hung nodes are
+    rewritten after each pivot, basis arcs set to 0, and the entering arc is
+    the matrix's row-major first minimum.  Same start, perturbation and pivot
+    step as the solver; returns (flows, u, v, pivots)."""
+    m, k = cost.shape
+    reduced_tol = 1e-13 * max(float(cost.max(initial=0.0)), 1e-300)
+    unit = counter_rng.uniforms(transport._PERTURB_SEED, np.arange(m, dtype=np.uint64), 0)
+    a_p = a + _perturbation(a) * (1.0 + unit)
+    b_p = b.copy()
+    b_p[int(np.argmax(b_p))] += a_p.sum() - b_p.sum()
+    arc_i, arc_j, flow = _masked_greedy_basis(cost, a_p, b_p)
+    adj = [[] for _ in range(m + k)]
+    for i, j in zip(arc_i, arc_j):
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    _complete_to_tree(adj, arc_i, arc_j, flow, cost)
+    arc_pos = {(i, j): p for p, (i, j) in enumerate(zip(arc_i, arc_j))}
+    arc_i = np.asarray(arc_i, dtype=np.intp)
+    arc_j = np.asarray(arc_j, dtype=np.intp)
+    flows_b = np.asarray(flow, dtype=float)
+    pred = [m] * (m + k)
+    pot = np.zeros(m + k)
+    sub = _hang(m, adj, pred, pot, cost, m)
+    reduced = np.empty_like(cost)
+    pivots = 0
+    while True:
+        sub = np.array(sub)
+        rows = sub[sub < m]
+        cols = sub[sub >= m] - m
+        u = pot[:m].copy()
+        v = pot[m:].copy()
+        reduced[rows] = cost[rows] - u[rows, None] - v[None, :]
+        reduced[:, cols] = cost[:, cols] - u[:, None] - v[None, cols]
+        reduced[arc_i, arc_j] = 0.0
+        ei, ej = divmod(int(np.argmin(reduced)), k)
+        if reduced[ei, ej] >= -reduced_tol:
+            break
+        pivots += 1
+        nodes = _cycle_nodes(ei, ej, pred, m)
+        cycle_arcs = []
+        for t in range(len(nodes) - 1):
+            x, y = nodes[t], nodes[t + 1]
+            cycle_arcs.append(arc_pos[(x, y - m) if x < m else (y, x - m)])
+        theta_pos = min(cycle_arcs[::2], key=lambda p: (flows_b[p], p))
+        theta = flows_b[theta_pos]
+        for t, p in enumerate(cycle_arcs):
+            flows_b[p] += (-1.0 if t % 2 == 0 else 1.0) * theta
+        li, lj = int(arc_i[theta_pos]), int(arc_j[theta_pos])
+        del arc_pos[(li, lj)]
+        arc_i[theta_pos], arc_j[theta_pos] = ei, ej
+        flows_b[theta_pos] = theta
+        arc_pos[(ei, ej)] = theta_pos
+        t = cycle_arcs.index(theta_pos)
+        top, parent = (ei, m + ej) if pred[nodes[t]] == nodes[t + 1] else (m + ej, ei)
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        pred[top] = parent
+        pot[top] = cost.item(ei, ej) - pot.item(parent)
+        sub = _hang(top, adj, pred, pot, cost, m)
+    return _resolve_tree_flows(adj, a, b, m, k), u, v, pivots
+
+
+def _two_mode_region_problem(seed, n, m):
+    """(cost, a, b) of a same-sample region problem: two equal modes whose
+    target blocks are the same points in reverse order, an estimate near the
+    first, the regions' masses from the samples themselves."""
+    rng = np.random.default_rng(seed)
+    mode = np.arange(n) - (n - 1) / 2.0 + rng.uniform(-0.1, 0.1, size=n)
+    x_hat = StackedState(n, 1, mode + rng.uniform(-0.1, 0.1, size=n))
+    mixture = GaussianMixture.from_components(
+        n, 1, [(0.5, mode, np.eye(n)), (0.5, mode[::-1], np.eye(n))])
+    emp = gm_sample(mixture, seed, m)
+    nu = build_region_measure(x_hat, estimate_region_masses(emp, x_hat))
+    keep = nu.masses > 0.0
+    return point_cost_matrix(emp.points, nu.atoms[keep]), emp.weights, nu.masses[keep]
+
+
+@pytest.fixture(scope="module")
+def region_problem():
+    return _two_mode_region_problem(7, 6, 2000)
+
+
+def _integer_costs(rng, m, k):
+    # few distinct integer costs: exact ties among reduced costs everywhere
+    return (rng.integers(0, 4, size=(m, k)).astype(float),
+            normalized_weights(rng, m), normalized_weights(rng, k))
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 6), (9, 1), (5, 12), (40, 7), (120, 24)])
+@pytest.mark.parametrize("integer", [False, True], ids=["real", "integer"])
+def test_row_pricing_follows_dense_pricing(m, k, integer):
+    rng = np.random.default_rng([m, k, integer])
+    for _ in range(6):
+        problem = _integer_costs(rng, m, k) if integer else random_instance(rng, m, k)
+        for mine, ref in zip(_transportation_simplex(*problem), dense_pricing_simplex(*problem)):
+            assert np.array_equal(mine, ref)
+
+
+def test_row_pricing_follows_dense_pricing_on_a_region_problem(region_problem):
+    mine = _transportation_simplex(*region_problem)
+    ref = dense_pricing_simplex(*region_problem)
+    assert ref[3] > 100  # deep re-hangs, not a handful of pivots
+    for got, want in zip(mine, ref):
+        assert np.array_equal(got, want)
+
+
+def test_simplex_memory_is_a_few_cost_matrices(region_problem):
+    # beside the caller's cost the solve holds cost.T across the pivots, and
+    # one full-size row refresh when a re-hang takes every row (2.4x here);
+    # a full-size temporary kept alive across the pivots breaks the bound
+    cost, a, b = region_problem
+    assert 150 <= cost.shape[1] <= 220
+    tracemalloc.start()
+    try:
+        _transportation_simplex(cost, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * cost.nbytes
