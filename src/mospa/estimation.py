@@ -27,7 +27,7 @@ import numpy as np
 from . import rng
 from .assignment import batch_optimal_permutations
 from .measures import EmpiricalMeasure
-from .quadform import point_cost_matrix, row_chunks, target_block_forms, validate_spd
+from .quadform import point_cost_matrix, row_chunks, target_block_forms
 from .states import StackedState, _atom_index_matrix, permutation_array
 
 _CHUNK = 1 << 16
@@ -190,8 +190,6 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     n, d = samples.n_targets, samples.state_dim
     if init is not None and (init.n_targets, init.state_dim) != (n, d):
         raise ValueError("init shape does not match samples")
-    if q is not None:
-        validate_spd(q, samples.dim)
     forms = None if q is None else target_block_forms(q, n, d)
 
     points, weights = samples.points, samples.weights

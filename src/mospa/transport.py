@@ -484,9 +484,15 @@ def coupling_cost(plan: TransportPlan, sources: EmpiricalMeasure,
     return float(np.sum(flows * cost))
 
 
+def _support(nu: DiscreteMeasure) -> DiscreteMeasure:
+    """nu on its positive-mass atoms, in order: the sinks solve_transport keeps."""
+    keep = nu.masses > 0.0
+    return DiscreteMeasure(nu.n_targets, nu.state_dim, nu.atoms[keep], nu.masses[keep])
+
+
 def w2_squared(samples: EmpiricalMeasure, nu: DiscreteMeasure, q=None) -> float:
     """Squared 2-Wasserstein distance (optimal transport cost, no root)."""
-    return solve_transport(samples, nu, q).cost
+    return solve_transport(samples, _support(nu), q).cost
 
 
 def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sample",
@@ -513,8 +519,7 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
         emp = gm_sample(mixture, rng.derive_seed(seed, 1), m)
         est = mospa_mc(emp, x_hat, q)
         masses = estimate_region_masses(emp, x_hat, q)
-        nu = build_region_measure(x_hat, masses)
-        w2 = w2_squared(emp, nu, q)
+        w2 = w2_squared(emp, build_region_measure(x_hat, masses), q)
         tolerance = 1e-8 * est.value
         se_w2 = None
     else:
@@ -523,7 +528,7 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
         w2_set = gm_sample(mixture, rng.derive_seed(seed, 3), min(m, _W2_SOURCE_CAP))
 
         masses = estimate_region_masses(mass_set, x_hat, q)
-        nu = build_region_measure(x_hat, masses)
+        nu = _support(build_region_measure(x_hat, masses))
         est = mospa_mc(mospa_set, x_hat, q)
         solution = solve_transport(w2_set, nu, q)
         w2 = solution.cost
@@ -531,11 +536,8 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
         n_w2 = len(w2_set)
         u = solution.source_potentials
         se_w2 = float(np.std(u, ddof=1) / math.sqrt(n_w2)) if n_w2 > 1 else 0.0
-        # multinomial mass noise propagated through the potentials of the
-        # kept sinks (a dropped sink's potential is NaN)
-        keep = nu.masses > 0.0
-        b = nu.masses[keep]
-        v = solution.sink_potentials[keep]
+        # multinomial mass noise propagated through the sink potentials
+        b, v = nu.masses, solution.sink_potentials
         se_mass_sq = (float(b @ (v ** 2)) - float(b @ v) ** 2) / m
         combined = math.sqrt(est.std_error**2 + se_w2**2 + max(se_mass_sq, 0.0))
         tolerance = 4.0 * combined

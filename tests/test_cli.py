@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from mospa import StackedState, estimate_region_masses, gm_sample, parse_scenario
 
 FIG = str(Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "fig1.json")
+EIGHT = str(Path(FIG).parent / "eight_targets.json")
 
 
 def run_cli(args, env_extra=None):
@@ -236,17 +238,38 @@ def test_impossible_allocation_exits_1(tmp_path, capsys):
 def test_oversize_transport_exits_1(tmp_path, capsys):
     import mospa.cli as cli
 
-    # n = 6: 50000 sources x 720 sinks exceed the dense transport cap
-    scen = {"n_targets": 6, "state_dim": 1, "seed": 3, "sample_count": 50000,
-            "mixture": [{"weight": 1.0, "mean": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-                         "cov": np.eye(6).tolist()}]}
-    path = tmp_path / "six.json"
+    # n = 7: 50000 sources x the ~2300 of 5040 sinks that carry mass exceed
+    # the dense transport cap, which counts only those sinks
+    means = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    scen = {"n_targets": 7, "state_dim": 1, "seed": 3, "sample_count": 50000,
+            "mixture": [{"weight": 1.0, "mean": means, "cov": np.eye(7).tolist()}]}
+    path = tmp_path / "seven.json"
     path.write_text(json.dumps(scen))
-    code = cli.run(["wasserstein", "--scenario", str(path), "--x-hat=0,1,2,3,4,5",
+    code = cli.run(["wasserstein", "--scenario", str(path), "--x-hat=0,0.5,1,1.5,2,2.5,3",
                     "--output", str(tmp_path / "w.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("validation error: ") and "cap" in err
+    emp = gm_sample(parse_scenario(path).mixture, 3, 50000)
+    kept = np.count_nonzero(estimate_region_masses(emp, StackedState(7, 1, means)))
+    assert 50000 * kept > 1 << 25 and kept < 5040
+    assert err.startswith(f"validation error: 50000 sources x {kept} sinks ")
+    assert "cap" in err
+
+
+def test_eight_targets_verify_and_wasserstein_exit_0(tmp_path):
+    import mospa.cli as cli
+
+    # 8! = 40320 atoms, of which ~700 carry mass; the solves run on those
+    x_hat = "--x-hat=0,0.5,1,1.5,2,2.5,3,3.5"
+    assert cli.run(["verify", "--scenario", EIGHT, x_hat, "--mode", "same-sample",
+                    "--output", str(tmp_path / "verify.csv")]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["passed"] is True and report["rel_diff"] <= 1e-8
+    assert cli.run(["wasserstein", "--scenario", EIGHT, x_hat,
+                    "--output", str(tmp_path / "w.csv")]) == 0
+    header, row = (tmp_path / "w.csv").read_text().splitlines()[1:]
+    assert header == "w2_squared,n_sources,n_atoms"
+    assert row.split(",")[1:] == ["1000", "40320"]
 
 
 def _nine_target_scenario(tmp_path):

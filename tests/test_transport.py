@@ -447,6 +447,21 @@ def test_pivot_path_is_pinned(build, pivots, cost_hex):
     assert 0.0 < sol.perturbation <= 1e-11 / len(sources) ** 2
 
 
+@pytest.mark.parametrize("seed, n, d, m, with_q", [(41, 5, 1, 300, False),
+                                                   (45, 5, 2, 300, True)])
+def test_solving_on_the_support_keeps_cost_duals_and_pivots(seed, n, d, m, with_q):
+    emp, nu, q = _same_sample_instance(seed, n, d, m, with_q)
+    keep = nu.masses > 0
+    assert not keep.all()
+    support = DiscreteMeasure(n, d, nu.atoms[keep], nu.masses[keep])
+    full, kept = solve_transport(emp, nu, q), solve_transport(emp, support, q)
+    assert kept.cost.hex() == full.cost.hex() == w2_squared(emp, nu, q).hex()
+    assert kept.pivots == full.pivots
+    assert np.array_equal(kept.source_potentials, full.source_potentials)
+    assert np.array_equal(kept.sink_potentials, full.sink_potentials[keep])
+    assert np.array_equal(kept.plan.flows, full.plan.flows[:, keep])
+
+
 def _masked_greedy_basis(cost, a, b):
     """The greedy start by one masked argmin per arc."""
     m, k = cost.shape
