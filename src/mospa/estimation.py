@@ -8,14 +8,15 @@ estimate block to the weighted average of the sample blocks assigned to it.
 Both steps are non-increasing in the empirical objective and the assignment
 step takes finitely many values, so the iteration terminates.
 
-One sweep over the samples yields both the objective and each sample's
-alignment, so one sweep of an estimate X gives its objective and the next
-estimate N(X).  Both are pure functions of X, so each mmospa_estimate call
-memoizes X -> (objective, N(X)) by X's bytes: restarts that reach a bit-equal
-estimate share its future, and each distinct estimate is swept once per call.
-A sweep keeps only each sample's best atom and its cost, one
-quadform.row_chunks chunk at a time, and sums the objective over fixed
-blocks of _CHUNK samples.
+One pass over the samples, a step, gives an estimate X's objective and the
+next estimate N(X).  Both are pure functions of X, so each mmospa_estimate
+call memoizes X -> (objective, N(X)) by X's bytes: restarts that reach a
+bit-equal estimate share its future, and each distinct estimate is swept once
+per call.  A step walks fixed blocks of _CHUNK samples; each block is scored
+one quadform.row_chunks chunk at a time, then adds its weighted minima to the
+objective and its aligned sample blocks to the average.  Only the weighted
+average (a slot weight matrix is present) keeps a whole-sample alignment,
+for its normal equations.
 """
 
 from __future__ import annotations
@@ -124,30 +125,45 @@ def _weighted_column_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _alignment_pass(points, weights, atoms, q):
-    """One sweep over the samples: the objective and the best atom per sample."""
-    m = points.shape[0]
-    best = np.empty(m, dtype=np.intp)
-    low = np.empty(m)
-    for lo, hi in row_chunks(m, *atoms.shape):
-        costs = point_cost_matrix(points[lo:hi], atoms, q)
-        best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
-        # the minima, read at the argmin: cheaper than a min over a short axis
-        low[lo:hi] = costs[np.arange(hi - lo), best[lo:hi]]
-    obj = 0.0  # summed over fixed blocks, whatever the cost chunks were
+def _step(points, weights, atoms, inv_perms, n, d, q, forms):
+    """One descent step: the objective of the estimate whose permuted atoms
+    are `atoms`, and the next estimate, flat.
+
+    One pass over fixed blocks of _CHUNK samples.  A block aligns each sample
+    to its first minimum atom (lexicographic), one quadform.row_chunks chunk
+    of costs at a time, adds its weighted minima to the objective and, without
+    a weight matrix, its weighted source blocks to the average.  With one, the
+    slot averages solve normal equations over the whole-sample alignment.
+    """
+    m, k = points.shape[0], atoms.shape[0]
+    rows = points.reshape(m * n, d)
+    best = None if forms is None else np.empty(m, dtype=np.intp)
+    obj = 0.0
+    acc = np.zeros((n, d))
     for lo in range(0, m, _CHUNK):
-        obj += float(np.sum(weights[lo:lo + _CHUNK] * low[lo:lo + _CHUNK]))
-    return obj, best
+        hi = min(lo + _CHUNK, m)
+        arg = np.empty(hi - lo, dtype=np.intp) if best is None else best[lo:hi]
+        low = np.empty(hi - lo)
+        for a, b in row_chunks(hi - lo, k, atoms.shape[1]):
+            costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
+            arg[a:b] = costs.argmin(axis=1)  # first minimum = lexicographic
+            low[a:b] = costs.take(arg[a:b] + k * np.arange(b - a))
+        w_blk = weights[lo:hi]
+        obj += float(np.sum(w_blk * low))
+        if best is None:
+            src = inv_perms.take(arg, axis=0) + (n * np.arange(lo, hi))[:, None]
+            acc += np.einsum("m,m...->...", w_blk, rows.take(src, axis=0))
+    if best is None:
+        return obj, (acc / np.sum(weights)).reshape(-1)
+    return obj, _normal_equations(points, weights, inv_perms[best], n, d, forms).reshape(-1)
 
 
-def _average_step(points, weights, src, n_targets, state_dim, forms):
-    """New estimate blocks: weighted average of the sample blocks assigned to
-    each slot (normal equations when a slot weight matrix is present)."""
+def _normal_equations(points, weights, src, n_targets, state_dim, forms):
+    """Slot averages under the slot weight matrices: slot j solves
+    sum_i W_ij F_i x = sum_i F_i S_ij over the sample blocks i that src
+    assigns to it (weight sum W_ij, weighted block sum S_ij)."""
     m = points.shape[0]
     blocks = points.reshape(m, n_targets, state_dim)
-    gathered = blocks[np.arange(m)[:, None], src]
-    if forms is None:
-        return _weighted_column_sum(weights, gathered) / np.sum(weights)
     new_blocks = np.empty((n_targets, state_dim))
     for j in range(n_targets):
         lhs = np.zeros((state_dim, state_dim))
@@ -240,8 +256,7 @@ def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg, me
     def step(xh):
         key = xh.tobytes()
         if key not in memo:
-            obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
-            memo[key] = obj, _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+            memo[key] = _step(points, weights, xh[atom_idx], inv_perms, n, d, q, forms)
         return memo[key]
 
     swept_before = len(memo)

@@ -78,19 +78,33 @@ def row_chunks(m: int, k: int, dim: int):
     """(lo, hi) ranges of m rows scored against k atoms of width dim, each
     with at most _CHUNK_BYTES (or one row) of difference tensor.  Bounds depend
     only on the shape and every cost is per row, so they move no bit."""
-    step = max(1, _CHUNK_BYTES // (8 * k * dim))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * k * dim))
     return ((lo, min(lo + step, m)) for lo in range(0, m, step))
 
 
 def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
-    """(m, k) squared (Q-weighted) Euclidean distances, built over row_chunks."""
+    """(m, k) squared (Q-weighted) Euclidean distances, built over row_chunks.
+
+    Each chunk's differences are one (rows, k * dim) copy of the points, with
+    every target's columns repeated, minus the flattened targets: the same
+    C-ordered (rows, k, dim) tensor and subtractions as a broadcast, in one
+    in-place pass.  A sum of squares is never negative, so only the weighted
+    costs are clamped at 0.
+    """
     m = points.shape[0]
-    out = np.empty((m, targets.shape[0]))
-    for lo, hi in row_chunks(m, *targets.shape):
-        diff = points[lo:hi, None, :] - targets[None, :, :]
+    k, dim = targets.shape
+    out = np.empty((m, k))
+    cols = np.tile(np.arange(dim), k)
+    flat = targets.reshape(-1)
+    for lo, hi in row_chunks(m, k, dim):
+        diff = points[lo:hi].take(cols, axis=1)
+        diff -= flat
+        diff = diff.reshape(hi - lo, k, dim)
         if q is None:
-            out[lo:hi] = np.einsum("mkd,mkd->mk", diff, diff)
+            np.einsum("mkd,mkd->mk", diff, diff, out=out[lo:hi])
         else:
             s = np.einsum("de,mke->mkd", q, diff)
-            out[lo:hi] = np.einsum("mkd,mkd->mk", diff, s)
-    return np.maximum(out, 0.0, out=out)
+            np.einsum("mkd,mkd->mk", diff, s, out=out[lo:hi])
+    if q is not None:
+        np.maximum(out, 0.0, out=out)
+    return out

@@ -187,9 +187,8 @@ def _shifted_duals(monkeypatch):
 def _nonfinite_mmospa(monkeypatch):
     import mospa.estimation as estimation
 
-    sweep = estimation._alignment_pass
-    monkeypatch.setattr(estimation, "_alignment_pass",
-                        lambda *args: (float("nan"), sweep(*args)[1]))
+    step = estimation._step
+    monkeypatch.setattr(estimation, "_step", lambda *args: (float("nan"), step(*args)[1]))
     return ["mmospa"], "non-finite"
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import block_diagonal_q, random_mixture, two_mode_mixture
+from conftest import block_diagonal_q, normalized_weights, random_mixture, two_mode_mixture
 from mospa import (
     EmpiricalMeasure,
     GaussianMixture,
@@ -21,9 +21,64 @@ from mospa import (
     scalar_sort_oracle,
 )
 from mospa import estimation, quadform, rng as mospa_rng
-from mospa.estimation import _alignment_pass
-from mospa.quadform import row_chunks
-from mospa.states import _atom_index_matrix
+from mospa.quadform import point_cost_matrix, row_chunks, target_block_forms
+from mospa.states import _atom_index_matrix, permutation_array
+
+README_SCENARIO = (Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+                   / "two_iid_normals.json")
+
+
+# The descent step as two passes, an alignment sweep and then an average over
+# a whole-sample gather: the reference that estimation._step must match bit
+# for bit.
+def _alignment_pass(points, weights, atoms, q):
+    """One sweep over the samples: the objective and the best atom per sample."""
+    m = points.shape[0]
+    best = np.empty(m, dtype=np.intp)
+    low = np.empty(m)
+    for lo, hi in row_chunks(m, *atoms.shape):
+        costs = point_cost_matrix(points[lo:hi], atoms, q)
+        best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
+        # the minima, read at the argmin: cheaper than a min over a short axis
+        low[lo:hi] = costs[np.arange(hi - lo), best[lo:hi]]
+    obj = 0.0  # summed over fixed blocks, whatever the cost chunks were
+    _CHUNK = estimation._CHUNK
+    for lo in range(0, m, _CHUNK):
+        obj += float(np.sum(weights[lo:lo + _CHUNK] * low[lo:lo + _CHUNK]))
+    return obj, best
+
+
+def _average_step(points, weights, src, n_targets, state_dim, forms):
+    """New estimate blocks: weighted average of the sample blocks assigned to
+    each slot (normal equations when a slot weight matrix is present)."""
+    m = points.shape[0]
+    blocks = points.reshape(m, n_targets, state_dim)
+    gathered = blocks[np.arange(m)[:, None], src]
+    if forms is None:
+        return estimation._weighted_column_sum(weights, gathered) / np.sum(weights)
+    new_blocks = np.empty((n_targets, state_dim))
+    for j in range(n_targets):
+        lhs = np.zeros((state_dim, state_dim))
+        rhs = np.zeros(state_dim)
+        for i in range(n_targets):
+            mask = src[:, j] == i
+            if not np.any(mask):
+                continue
+            wsum = float(np.sum(weights[mask]))
+            xsum = estimation._weighted_column_sum(weights[mask], blocks[mask, i])
+            lhs += wsum * forms[i]
+            rhs += forms[i] @ xsum
+        new_blocks[j] = np.linalg.solve(lhs, rhs)
+    return new_blocks
+
+
+def _assert_step_matches_the_reference(args):
+    points, weights, atoms, inv_perms, n, d, q, forms = args
+    obj, best = _alignment_pass(points, weights, atoms, q)
+    nxt = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+    step_obj, step_nxt = estimation._step(*args)
+    assert step_obj.hex() == obj.hex()
+    assert np.array_equal(step_nxt, nxt)
 
 
 def test_mospa_zero_when_samples_equal_estimate():
@@ -154,18 +209,56 @@ def test_mmospa_sweeps_once_per_step(monkeypatch):
     assert calls == [len(emp)] * 6
 
 
+def _step_args(rng, n, d, m, weighted):
+    """Arguments of estimation._step for m samples of a random mixture, with
+    random weights and a random estimate."""
+    q = block_diagonal_q(rng, n, d) if weighted else None
+    forms = None if q is None else target_block_forms(q, n, d)
+    points = gm_sample(random_mixture(rng, n, d, 3), seed=n + d, m=m).points
+    atoms = rng.normal(size=n * d, scale=3.0)[_atom_index_matrix(n, d)]
+    inv_perms = np.argsort(permutation_array(n), axis=1)
+    return points, normalized_weights(rng, m), atoms, inv_perms, n, d, q, forms
+
+
 @pytest.mark.parametrize("weighted", [False, True])
-def test_alignment_pass_is_independent_of_the_cost_chunk(monkeypatch, weighted):
+def test_step_is_independent_of_the_cost_chunk(monkeypatch, weighted):
     rng = np.random.default_rng(90)
-    q = block_diagonal_q(rng, 3, 2) if weighted else None
-    emp = gm_sample(random_mixture(rng, 3, 2, 3), seed=8, m=5000)
-    atoms = rng.normal(size=6)[_atom_index_matrix(3, 2)]
-    assert len(list(row_chunks(len(emp), *atoms.shape))) == 1
-    obj, best = _alignment_pass(emp.points, emp.weights, atoms, q)
+    args = _step_args(rng, 3, 2, 5000, weighted)
+    atoms = args[2]
+    assert len(list(row_chunks(5000, *atoms.shape))) == 1
+    obj, nxt = estimation._step(*args)
     monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * atoms.size * 7)  # 7 rows a chunk
-    chunked_obj, chunked_best = _alignment_pass(emp.points, emp.weights, atoms, q)
+    chunked_obj, chunked_nxt = estimation._step(*args)
     assert chunked_obj.hex() == obj.hex()
-    assert np.array_equal(chunked_best, best)
+    assert np.array_equal(chunked_nxt, nxt)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_step_matches_the_two_pass_reference(monkeypatch, n, d, weighted):
+    # 700-sample blocks: three full ones and a partial last one; at n = 5,
+    # d = 2 each block also spans several cost chunks, the last one partial
+    monkeypatch.setattr(estimation, "_CHUNK", 700)
+    args = _step_args(np.random.default_rng(10 * n + d), n, d, 2500, weighted)
+    _assert_step_matches_the_reference(args)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_step_takes_the_first_of_tied_atoms(monkeypatch, weighted):
+    # every estimate block equal, so all 3! atoms tie on every sample
+    monkeypatch.setattr(estimation, "_CHUNK", 700)
+    args = list(_step_args(np.random.default_rng(96), 3, 2, 2500, weighted))
+    args[2] = np.tile(args[2][0, :2], (6, 3))
+    _assert_step_matches_the_reference(args)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_step_matches_the_two_pass_reference_over_full_blocks(weighted):
+    # the block size as it ships: two full blocks and a partial one
+    args = _step_args(np.random.default_rng(95), 2, 1, 150_001, weighted)
+    assert 150_001 // estimation._CHUNK == 2
+    _assert_step_matches_the_reference(args)
 
 
 def test_mmospa_memory_is_bounded_by_the_chunk():
@@ -199,6 +292,19 @@ def test_mmospa_weighted_run_is_pinned():
         "0x1.573b1f6630ab0p+5", "0x1.573b1f6630ab0p+5"]
 
 
+def test_mmospa_unweighted_multi_block_run_is_pinned():
+    # the README scenario at m = 200 000: three full sample blocks and a
+    # partial fourth; bits recorded from the two-pass step
+    sc = parse_scenario(README_SCENARIO)
+    emp = gm_sample(sc.mixture, sc.seed, 200_000)
+    assert -(-len(emp) // estimation._CHUNK) == 4
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=mospa_rng.derive_seed(sc.seed, 11)))
+    assert [v.hex() for v in res.estimate.data] == ["-0x1.1ffc7b31d9341p-1", "0x1.21fc22e46af08p-1"]
+    assert (res.iterations, res.converged, res.restarts_used) == (2, True, 16)
+    assert res.empirical_mospa.hex() == "0x1.5e4620496f9f1p+0"
+    assert [v.hex() for v in res.descent_trace] == ["0x1.5e4620496f9f1p+0", "0x1.5e4620496f9f1p+0"]
+
+
 def _record_starts(monkeypatch):
     """Spy on the per-restart descent; returns the list its arguments go to."""
     calls = []
@@ -213,15 +319,15 @@ def _record_starts(monkeypatch):
 
 
 def _count_sweeps(monkeypatch):
-    """Spy on the sweep; returns the list of the swept atoms' bytes."""
+    """Spy on the descent step; returns the list of the swept atoms' bytes."""
     calls = []
-    sweep = estimation._alignment_pass
+    sweep = estimation._step
 
     def counting(*args):
         calls.append(args[2].tobytes())
         return sweep(*args)
 
-    monkeypatch.setattr(estimation, "_alignment_pass", counting)
+    monkeypatch.setattr(estimation, "_step", counting)
     return calls
 
 
@@ -232,7 +338,7 @@ def _unmerged(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg):
     obj_prev, best = _alignment_pass(points, weights, xh[atom_idx], q)
     trace, converged = [], False
     for _ in range(cfg.max_iters):
-        xh = estimation._average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+        xh = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
         obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
         trace.append(obj)
         if obj_prev - obj < estimation._TOL:
@@ -292,8 +398,7 @@ def test_mmospa_restarts_merge_on_the_readme_shape(monkeypatch):
     # the README mmospa scenario, at fewer samples: after one averaging step
     # every restart but two is at the step-1 estimate of one of those two,
     # and step 2 repeats step 1; unmerged, the 16 restarts swept 48 times
-    sc = parse_scenario(Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-                        / "two_iid_normals.json")
+    sc = parse_scenario(README_SCENARIO)
     emp = gm_sample(sc.mixture, sc.seed, 20000)
     sweeps = _count_sweeps(monkeypatch)
     res = mmospa_estimate(emp, config=MmospaConfig(seed=mospa_rng.derive_seed(sc.seed, 11)))

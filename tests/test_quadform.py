@@ -1,9 +1,52 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from conftest import block_diagonal_q
-from mospa.quadform import point_cost_matrix
+from mospa.quadform import point_cost_matrix, row_chunks
+
+
+def _broadcast_costs(points, targets, q=None):
+    """The kernel as one broadcast difference per row chunk: the reference
+    that point_cost_matrix must match bit for bit."""
+    m = points.shape[0]
+    out = np.empty((m, targets.shape[0]))
+    for lo, hi in row_chunks(m, *targets.shape):
+        diff = points[lo:hi, None, :] - targets[None, :, :]
+        if q is None:
+            out[lo:hi] = np.einsum("mkd,mkd->mk", diff, diff)
+        else:
+            s = np.einsum("de,mke->mkd", q, diff)
+            out[lo:hi] = np.einsum("mkd,mkd->mk", diff, s)
+    return np.maximum(out, 0.0, out=out)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 6, 24, 120, 720])
+def test_point_cost_matrix_matches_the_broadcast_reference(k, weighted):
+    rng = np.random.default_rng(k + weighted)
+    for dim in (1, 2, 3, 5, 14):
+        q = block_diagonal_q(rng, 1, dim) if weighted else None
+        step = next(row_chunks(1 << 30, k, dim))[1]
+        m = 2 * step + 3  # two full chunks and a partial third
+        targets = rng.normal(size=(k, dim), scale=2.0)
+        points = rng.normal(size=(m, dim), scale=2.0)
+        hits = min(k, m)
+        points[:hits] = targets[:hits]  # row i sits on target i
+        out = point_cost_matrix(points, targets, q)
+        assert np.array_equal(out, _broadcast_costs(points, targets, q))
+        on_target = out[np.arange(hits), np.arange(hits)]
+        assert np.all(on_target == 0.0) and not np.any(np.signbit(on_target))
+        if not weighted:
+            assert not np.any(np.signbit(out))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_point_cost_matrix_with_no_targets_is_empty(weighted):
+    q = np.eye(2) if weighted else None
+    out = point_cost_matrix(np.zeros((3, 2)), np.zeros((0, 2)), q)
+    assert out.shape == (3, 0)
 
 
 def test_point_cost_matrix_memory_is_bounded_by_the_chunk():
