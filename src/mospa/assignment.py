@@ -13,10 +13,12 @@ first acceptable column is taken.  Two routes implement it:
   acceptable column, so it keeps a fallback to the best completion seen.
 - batch_optimal_permutations with n <= MAX_TARGETS runs one vectorized
   kernel per chunk of samples: a backward DP over column subsets tabulates
-  every completion value (2^n per sample), then a greedy walk applies the
-  same test.  Each optimum it compares against is a table entry that the
-  row's argmin reproduces bit for bit, so a column always passes and the
-  kernel has no fallback.
+  every completion value (2^n per sample), each subset adding only the
+  columns outside it, then a greedy walk applies the same test.  One max
+  pass over the chunk's costs serves both the overflow check and tol.  Each
+  optimum the walk compares against is a table entry that the row's argmin
+  reproduces bit for bit, so a column always passes and the kernel has no
+  fallback.
 
 The brute-force oracle enumerates all n! permutations independently, takes
 the first exact minimum, and is kept purely as a cross-check.
@@ -42,10 +44,12 @@ from .states import (
 # bounds any refinement slack well under the 1e-12 oracle-agreement contract.
 _TIE_RTOL = 1e-13
 
-# Bytes of block costs, DP table and gathers per chunk of samples.  Chunks
-# this size stay in cache; 1 MiB ran n = 3..8 fastest among 256 KiB..16 MiB
-# on a 2-CPU x86 VM.  Every value is per sample, so the size moves no bit.
-_KERNEL_CHUNK_BYTES = 1 << 20
+# Bytes per chunk of samples, as _kernel_rows counts them: block costs, DP
+# table, DP layer and walk.  Chunks this size stay in cache: among 256 KiB..
+# 16 MiB, 2 and 4 MiB ran n = 3..8 fastest on a 2-CPU x86 VM (2 MiB L2 per
+# core), 1 MiB up to 1.2x and 512 KiB up to 1.7x slower.  Every value is per
+# sample, so the size moves no bit.
+_KERNEL_CHUNK_BYTES = 1 << 21
 
 
 def _as_cost_matrix(cost) -> np.ndarray:
@@ -182,31 +186,39 @@ def _as_points(points, x_hat: StackedState) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_TARGETS)
-def _subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+def _subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Gather tables of the completion DP over column subsets of {0..n-1}.
 
     Returns (nxt, layers).  nxt[S, j] is S | 1 << j, or the sentinel row 2^n
-    (held at +inf) when column j is already in S.  layers[k] holds the
-    subsets of popcount k and their rows of nxt.
+    (held at +inf) when column j is already in S.  layers[k] is (rows, free,
+    steps): the subsets S of popcount k, the (C(n, k), n - k) table of the
+    columns outside each S in ascending order, and steps = S | 1 << free.
     """
     full = 1 << n
     subsets = np.arange(full, dtype=np.intp)
     bits = np.intp(1) << np.arange(n, dtype=np.intp)
-    nxt = np.where(subsets[:, None] & bits, full, subsets[:, None] | bits)
-    popcount = (subsets[:, None] & bits != 0).sum(axis=1)
-    layers = [(subsets[popcount == k], nxt[popcount == k]) for k in range(n)]
+    taken = subsets[:, None] & bits != 0
+    nxt = np.where(taken, full, subsets[:, None] | bits)
+    popcount = taken.sum(axis=1)
+    layers = []
+    for k in range(n):
+        rows = subsets[popcount == k]
+        free = np.nonzero(~taken[rows])[1].reshape(rows.size, n - k)
+        layers.append((rows, free, rows[:, None] | bits[free]))
     for arr in (nxt, *(a for layer in layers for a in layer)):
         arr.setflags(write=False)
     return nxt, layers
 
 
-def _subset_dp_assign(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched _solve_square for a (m, n, n) stack with n <= MAX_TARGETS.
+def _subset_dp_assign(cs: np.ndarray, cmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched _solve_square for a (m, n, n) stack with n <= MAX_TARGETS,
+    given each sample's largest cost cmax = cs.max(axis=(1, 2)).
 
     A backward DP fills g[S, s], the optimal cost of assigning rows |S|..n-1
-    of sample s to the columns outside S.  The greedy walk then gives row i
-    the first free column j with c[i, j] + g[used | j] <= target + tol and
-    sets target = g[used | j]; the row's argmin sums to target exactly.
+    of sample s to the columns outside S, from the free columns of each S
+    alone.  The greedy walk then gives row i the first free column j with
+    c[i, j] + g[used | j] <= target + tol and sets target = g[used | j]; the
+    row's argmin sums to target exactly.
     """
     m, n, _ = cs.shape
     full = 1 << n
@@ -216,23 +228,38 @@ def _subset_dp_assign(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g[full - 1] = 0.0
     g[full] = np.inf
     for k in range(n - 1, -1, -1):
-        rows, steps = layers[k]
-        g[rows] = (ct[k][None] + g[steps]).min(axis=1)
-    tol = _TIE_RTOL * np.maximum(1.0, cs.max(axis=(1, 2)) * n)
+        rows, free, steps = layers[k]
+        part = ct[k].take(free, axis=0)
+        part += g.take(steps, axis=0)
+        g[rows] = part.min(axis=1)
+    tol = _TIE_RTOL * np.maximum(1.0, cmax * n)
     samples = np.arange(m)
+    flat_g = g.reshape(-1)
     used = np.zeros(m, dtype=np.intp)
     target = g[0]
     mappings = np.empty((m, n), dtype=np.intp)
     for i in range(n):
-        after = nxt[used]
-        completion = g[after, samples[:, None]]
+        after = nxt.take(used, axis=0)
+        completion = flat_g.take(after * m + samples[:, None])
         ok = cs[:, i, :] + completion <= (target + tol)[:, None]
-        j = ok.argmax(axis=1)
-        mappings[:, i] = j
-        target = completion[samples, j]
-        used = after[samples, j]
-    costs = cs[samples[:, None], np.arange(n), mappings].sum(axis=1)
+        pick = ok.argmax(axis=1)
+        mappings[:, i] = pick
+        pick += samples * n
+        target = completion.take(pick)
+        used = after.take(pick)
+    picked = mappings + np.arange(0, n * n, n) + samples[:, None] * (n * n)
+    costs = cs.reshape(m, n * n).take(picked).sum(axis=1)
     return mappings, costs
+
+
+def _kernel_rows(n: int, d: int) -> int:
+    """Samples per chunk of batch_optimal_permutations: as many as fit
+    _KERNEL_CHUNK_BYTES at the float64 words one sample holds (at least 1)."""
+    words = n * n * (d + 1)  # block-cost differences and cost stack
+    if n <= MAX_TARGETS:  # transposed costs, DP table, widest layer, walk
+        widest = max(2 * free.size + rows.size for rows, free, _ in _subset_tables(n)[1])
+        words += n * n + (1 << n) + 1 + widest + 6 * n
+    return max(1, _KERNEL_CHUNK_BYTES // (8 * words))
 
 
 def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
@@ -249,26 +276,24 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
     Block costs are built one chunk of samples at a time, so memory beyond
     the points and the results is bounded by the chunk, not by m.
     Raises ValueError for points of the wrong width, non-finite points, or
-    costs that overflow float64.
+    block costs too large for a sum of n of them to stay finite in float64.
     """
     pts = _as_points(points, x_hat)
     forms = _forms_for(x_hat, q)
     y = x_hat.blocks()
     m, (n, d) = pts.shape[0], y.shape
-    per_sample = n * n * (d + 1)  # block-cost differences and cost stack
-    if n <= MAX_TARGETS:  # subset-DP table and gathers
-        widest = max(rows.size for rows, _ in _subset_tables(n)[1])
-        per_sample += (1 << n) + 1 + (widest + 1) * n
-    chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * per_sample))
+    chunk = _kernel_rows(n, d)
     mappings = np.empty((m, n), dtype=np.intp) if want_mappings else None
     costs = np.empty(m)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         cs = batch_block_cost_matrices(pts[lo:hi], y, forms)
-        if not np.all(np.isfinite(cs)):
-            raise ValueError("block costs overflow float64; rescale the points and estimate")
+        cmax = cs.max(axis=(1, 2))
+        with np.errstate(over="ignore"):  # NaN and +inf propagate; tol needs n * cmax
+            if not np.isfinite(cmax * n).all():
+                raise ValueError("block costs overflow float64; rescale the points and estimate")
         if n <= MAX_TARGETS:
-            maps, costs[lo:hi] = _subset_dp_assign(cs)
+            maps, costs[lo:hi] = _subset_dp_assign(cs, cmax)
             if want_mappings:
                 mappings[lo:hi] = maps
         elif want_mappings:

@@ -61,17 +61,16 @@ def batch_block_cost_matrices(points: np.ndarray, y_blocks: np.ndarray, forms=No
     """(m, N, N) stack of block cost matrices for m stacked points.
 
     Entry [s, i, j] is the (slot-i-weighted) squared distance between block i
-    of point s and block j of the estimate.
+    of point s and block j of the estimate.  A sum of squares is never
+    negative, so only the weighted costs are clamped at 0.
     """
     n, d = y_blocks.shape
     xb = points.reshape(points.shape[0], n, d)
     diff = xb[:, :, None, :] - y_blocks[None, None, :, :]
     if forms is None:
-        c = np.einsum("mijk,mijk->mij", diff, diff)
-    else:
-        s = np.einsum("ikl,mijl->mijk", forms, diff)
-        c = np.einsum("mijk,mijk->mij", diff, s)
-    return np.maximum(c, 0.0)
+        return np.einsum("mijk,mijk->mij", diff, diff)
+    s = np.einsum("ikl,mijl->mijk", forms, diff)
+    return np.maximum(np.einsum("mijk,mijk->mij", diff, s), 0.0)
 
 
 def row_chunks(m: int, k: int, dim: int):

@@ -64,6 +64,28 @@ def block_diagonal_q(rng, n_targets, state_dim):
     return q
 
 
+def assignment_case(kind, n, d, m, seed):
+    """(points, x_hat, q) for the batched assignment kernel, by kind:
+    continuous, tied (coordinates in {-1, 0, 1}: integer costs with many
+    exact ties), duplicate (repeated estimate blocks), near-tie (tied
+    coordinates moved by multiples of 2**-44, so that many alternatives sit
+    within the kernel's tie tolerance without being exact ties) or weighted
+    (a block-diagonal Q)."""
+    rng = np.random.default_rng(seed)
+    if kind in ("tied", "near-tie"):
+        points = rng.integers(-1, 2, size=(m, n * d)).astype(float)
+        blocks = rng.integers(-1, 2, size=(n, d)).astype(float)
+        if kind == "near-tie":
+            points += rng.integers(-2, 3, size=points.shape) * 2.0**-44
+    else:
+        points = rng.normal(size=(m, n * d))
+        blocks = rng.normal(size=(n, d))
+        if kind == "duplicate":
+            blocks[n // 2:] = blocks[0]
+    q = block_diagonal_q(rng, n, d) if kind == "weighted" else None
+    return points, StackedState.from_blocks(blocks), q
+
+
 def two_mode_mixture(sigma=1.0):
     """Symmetric pair of modes at the block swap of (-4, 3)."""
     cov = (sigma**2 * np.eye(2))

@@ -1,9 +1,10 @@
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from conftest import block_diagonal_q
+from conftest import assignment_case, block_diagonal_q
 from mospa import (
     MAX_TARGETS,
     CapacityError,
@@ -14,7 +15,13 @@ from mospa import (
     solve_assignment,
 )
 from mospa import assignment
-from mospa.assignment import _subset_dp_assign, batch_optimal_permutations
+from mospa.assignment import (
+    _TIE_RTOL,
+    _solve_square,
+    _subset_dp_assign,
+    batch_optimal_permutations,
+)
+from mospa.quadform import batch_block_cost_matrices, target_block_forms
 
 
 def test_zero_diagonal():
@@ -35,7 +42,7 @@ def test_near_tie_within_tolerance_takes_first_column():
     c = np.array([[1.0 + 2**-51, 1.0], [1.0, 1.0]])
     perm, cost = solve_assignment(c)
     assert perm.mapping == (0, 1) and cost == 2.0 + 2**-51
-    mappings, costs = _subset_dp_assign(c[None])
+    mappings, costs = _subset_dp_assign(c[None], c[None].max(axis=(1, 2)))
     assert tuple(mappings[0]) == (0, 1) and costs[0] == cost
     assert brute_force_assignment(c)[0].mapping == (1, 0)
 
@@ -185,8 +192,9 @@ def test_batch_rejects_malformed_points():
     for shape in ((4, 5), (4, 7), (6,), (2, 3, 2)):
         with pytest.raises(ValueError, match=r"shape \(m, 6\)"):
             batch_optimal_permutations(np.zeros(shape), x_hat)
-    with pytest.raises(ValueError, match="overflow"):
-        batch_optimal_permutations(np.full((1, 6), 1e200), x_hat)
+    for scale in (1e200, 9e153):  # a cost overflows; only a sum of 3 costs does
+        with pytest.raises(ValueError, match="overflow"):
+            batch_optimal_permutations(np.full((1, 6), scale), x_hat)
     mappings, costs = batch_optimal_permutations(np.empty((0, 6)), x_hat)
     assert mappings.shape == (0, 3) and costs.shape == (0,)
     assert batch_optimal_permutations(np.empty((0, 6)), x_hat, want_mappings=False)[1].shape == (0,)
@@ -215,7 +223,9 @@ def test_chunked_batch_matches_one_chunk(n, monkeypatch):
     points = rng.normal(size=(7, 2 * n))
     whole = batch_optimal_permutations(points, x_hat)
     whole_costs = batch_optimal_permutations(points, x_hat, want_mappings=False)[1]
-    monkeypatch.setattr(assignment, "_KERNEL_CHUNK_BYTES", 8 * (2**n + 6 * n * n))
+    budget = assignment._KERNEL_CHUNK_BYTES * 3 // assignment._kernel_rows(n, 2)
+    monkeypatch.setattr(assignment, "_KERNEL_CHUNK_BYTES", budget)
+    assert assignment._kernel_rows(n, 2) == 3  # chunks of 3, 3 and 1 samples
     mappings, costs = batch_optimal_permutations(points, x_hat)
     assert np.array_equal(mappings, whole[0]) and np.array_equal(costs, whole[1])
     assert np.array_equal(batch_optimal_permutations(points, x_hat, want_mappings=False)[1],
@@ -255,3 +265,107 @@ def test_cost_only_batch_allocates_no_mappings():
         tracemalloc.stop()
     assert mappings is None
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("n", [3, 5, MAX_TARGETS])
+def test_batch_memory_is_bounded_by_the_chunk_budget(n):
+    # what a kernel chunk holds at its peak stays within the budget that
+    # sizes it: _kernel_rows counts every array of the chunk
+    rng = np.random.default_rng(15 + n)
+    rows = assignment._kernel_rows(n, 2)
+    points = rng.normal(size=(3 * rows + rows // 2, 2 * n))
+    x_hat = StackedState(n, 2, rng.normal(size=2 * n))
+    for want_mappings in (True, False):
+        tracemalloc.start()
+        try:
+            mappings, costs = batch_optimal_permutations(points, x_hat,
+                                                         want_mappings=want_mappings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        results = costs.nbytes + (0 if mappings is None else mappings.nbytes)
+        assert peak - results <= 2 * assignment._KERNEL_CHUNK_BYTES
+
+
+# The kernel as it was before the DP ran over free columns only: every layer
+# adds all n columns, the taken ones reading the +inf sentinel row.  It is
+# the reference that batch_optimal_permutations must match bit for bit.
+@lru_cache(maxsize=MAX_TARGETS)
+def _dense_subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    full = 1 << n
+    subsets = np.arange(full, dtype=np.intp)
+    bits = np.intp(1) << np.arange(n, dtype=np.intp)
+    nxt = np.where(subsets[:, None] & bits, full, subsets[:, None] | bits)
+    popcount = (subsets[:, None] & bits != 0).sum(axis=1)
+    layers = [(subsets[popcount == k], nxt[popcount == k]) for k in range(n)]
+    for arr in (nxt, *(a for layer in layers for a in layer)):
+        arr.setflags(write=False)
+    return nxt, layers
+
+
+def _dense_subset_dp_assign(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m, n, _ = cs.shape
+    full = 1 << n
+    nxt, layers = _dense_subset_tables(n)
+    ct = np.ascontiguousarray(cs.transpose(1, 2, 0))  # ct[i, j] is cs[:, i, j]
+    g = np.empty((full + 1, m))
+    g[full - 1] = 0.0
+    g[full] = np.inf
+    for k in range(n - 1, -1, -1):
+        rows, steps = layers[k]
+        g[rows] = (ct[k][None] + g[steps]).min(axis=1)
+    tol = _TIE_RTOL * np.maximum(1.0, cs.max(axis=(1, 2)) * n)
+    samples = np.arange(m)
+    used = np.zeros(m, dtype=np.intp)
+    target = g[0]
+    mappings = np.empty((m, n), dtype=np.intp)
+    for i in range(n):
+        after = nxt[used]
+        completion = g[after, samples[:, None]]
+        ok = cs[:, i, :] + completion <= (target + tol)[:, None]
+        j = ok.argmax(axis=1)
+        mappings[:, i] = j
+        target = completion[samples, j]
+        used = after[samples, j]
+    costs = cs[samples[:, None], np.arange(n), mappings].sum(axis=1)
+    return mappings, costs
+
+
+def _assert_kernel_matches_dense_reference(points, x_hat, q=None):
+    n, d = x_hat.n_targets, x_hat.state_dim
+    forms = None if q is None else target_block_forms(q, n, d)
+    # the costs clamped at 0, as the cost stack was before unweighted costs
+    # went unclamped
+    cs = np.maximum(batch_block_cost_matrices(points, x_hat.blocks(), forms), 0.0)
+    want, want_costs = _dense_subset_dp_assign(cs)
+    mappings, costs = batch_optimal_permutations(points, x_hat, q)
+    assert np.array_equal(mappings, want)
+    assert costs.tobytes() == want_costs.tobytes()
+    _, costs_only = batch_optimal_permutations(points, x_hat, q, want_mappings=False)
+    assert costs_only.tobytes() == want_costs.tobytes()
+    return mappings, costs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, MAX_TARGETS + 1))
+def test_kernel_matches_the_dense_reference(n, d):
+    rows = assignment._kernel_rows(n, d)
+    kinds = ("continuous", "tied", "duplicate", "near-tie", "weighted")
+    for seed, kind in enumerate(kinds, 100 * n + 10 * d):
+        # one chunk; then three chunks, the last one partial
+        for m in (min(rows, 40), 2 * rows + rows // 2):
+            _assert_kernel_matches_dense_reference(*assignment_case(kind, n, d, m, seed))
+
+
+def test_kernel_takes_the_column_on_the_tolerance_boundary():
+    # every cost is below 1/n, so tol is _TIE_RTOL itself: the identity costs
+    # exactly tol above the swap's optimum 0, so row 0 may keep column 0
+    p, q = 2.2322858239929762e-07, 1.3e-08
+    points = np.array([[p, q, 0.0, 0.0]])
+    x_hat = StackedState(2, 2, [0.0, 0.0, p, q])
+    cs = batch_block_cost_matrices(points, x_hat.blocks())
+    assert cs[0, 0, 0] + cs[0, 1, 1] == _TIE_RTOL
+    assert cs[0, 0, 1] + cs[0, 1, 0] == 0.0
+    mappings, costs = _assert_kernel_matches_dense_reference(points, x_hat)
+    assert tuple(mappings[0]) == (0, 1) and costs[0] == _TIE_RTOL
+    assert _solve_square(cs[0]) == ((0, 1), _TIE_RTOL)

@@ -8,31 +8,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import block_diagonal_q  # noqa: E402
-from mospa import MAX_TARGETS, StackedState, brute_force_assignment  # noqa: E402
+from conftest import assignment_case  # noqa: E402
+from mospa import MAX_TARGETS, brute_force_assignment  # noqa: E402
 from mospa.assignment import (  # noqa: E402
-    _KERNEL_CHUNK_BYTES,
+    _kernel_rows,
     _solve_square,
     batch_optimal_permutations,
 )
 from mospa.quadform import batch_block_cost_matrices, target_block_forms  # noqa: E402
 
 KINDS = ("continuous", "tied", "duplicate", "weighted")
-
-
-def _draw(kind, n, d, m, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "tied":
-        # coordinates in {-1, 0, 1}: integer costs with many exact ties
-        points = rng.integers(-1, 2, size=(m, n * d)).astype(float)
-        blocks = rng.integers(-1, 2, size=(n, d)).astype(float)
-    else:
-        points = rng.normal(size=(m, n * d))
-        blocks = rng.normal(size=(n, d))
-        if kind == "duplicate":
-            blocks[n // 2:] = blocks[0]
-    q = block_diagonal_q(rng, n, d) if kind == "weighted" else None
-    return points, StackedState.from_blocks(blocks), q
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -42,9 +27,8 @@ def _draw(kind, n, d, m, seed):
 @example(n=MAX_TARGETS, d=2, m=600, kind="duplicate", seed=1)
 def test_kernel_matches_per_sample_solver_and_oracle(n, d, m, kind, seed):
     if m > 12:
-        # the completion table alone outgrows one chunk: the batch spans several
-        assert m * 8 * (2**n + 1) > _KERNEL_CHUNK_BYTES
-    points, x_hat, q = _draw(kind, n, d, m, seed)
+        assert m > 2 * _kernel_rows(n, d)  # the batch spans at least three chunks
+    points, x_hat, q = assignment_case(kind, n, d, m, seed)
     mappings, costs = batch_optimal_permutations(points, x_hat, q)
     _, costs_only = batch_optimal_permutations(points, x_hat, q, want_mappings=False)
     assert np.array_equal(costs_only, costs)

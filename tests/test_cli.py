@@ -234,6 +234,18 @@ def test_impossible_allocation_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("validation error: ")
 
 
+@pytest.mark.parametrize("command", ["ospa", "mospa"])
+def test_estimate_whose_cost_sums_overflow_exits_1(command, tmp_path, capsys):
+    import mospa.cli as cli
+
+    # each block cost is finite (~1.7e308) but a sum of 8 of them is not
+    code = cli.run([command, "--scenario", EIGHT, "--x-hat=" + ",".join(["1.3e154"] * 8),
+                    "--samples", "10", "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "overflow" in err
+
+
 def test_oversize_transport_exits_1(tmp_path, capsys):
     import mospa.cli as cli
 
