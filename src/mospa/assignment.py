@@ -4,21 +4,21 @@ The solvers return the lexicographically smallest optimal permutation under
 one tie rule: row by row, column j is acceptable when c[i, j] plus the
 optimal cost of the remaining rows on the remaining columns is within
 tol = _TIE_RTOL * max(1, n * max(c)) of the optimum still to be met, and the
-first acceptable column is taken.  Two routes implement it:
+first acceptable column is taken.  Every entry point hands an (m, n, n)
+cost stack to one dispatcher, _assign, whose one max pass gives both the
+overflow check and tol.  It has two routes:
 
-- _solve_square (solve_assignment, optimal_permutation, and batches with
-  n > MAX_TARGETS) takes the optimum from scipy's shortest-augmenting-path
-  solver (exact, O(n^3)) and finds each completion value by another solve.
-  An LSA value that rounding pushed past tol can leave a row with no
-  acceptable column, so it keeps a fallback to the best completion seen.
-- batch_optimal_permutations with n <= MAX_TARGETS runs one vectorized
-  kernel per chunk of samples: a backward DP over column subsets tabulates
-  every completion value (2^n per sample), each subset adding only the
-  columns outside it, then a greedy walk applies the same test.  One max
-  pass over the chunk's costs serves both the overflow check and tol.  Each
-  optimum the walk compares against is a table entry that the row's argmin
-  reproduces bit for bit, so a column always passes and the kernel has no
-  fallback.
+- n <= MAX_TARGETS: a vectorized kernel per chunk of samples.  A backward
+  DP over column subsets tabulates every completion value (2^n per sample),
+  each subset adding only the columns outside it, then a greedy walk applies
+  the test.  Each optimum the walk compares against is a table entry that
+  the row's argmin reproduces bit for bit, so a column always passes.
+- n > MAX_TARGETS: _solve_square per sample (plain LSA for cost-only
+  callers).  It takes the optimum from scipy's shortest-augmenting-path
+  solver (exact, O(n^3)) and each completion value from another solve; an
+  LSA value that rounding pushed past tol can leave a row with no acceptable
+  column, so it keeps a fallback to the best completion seen.  At smaller n
+  it is only the per-sample reference of the kernel's tests.
 
 The brute-force oracle enumerates all n! permutations independently, takes
 the first exact minimum, and is kept purely as a cross-check.
@@ -124,9 +124,8 @@ def solve_assignment(cost) -> tuple[Permutation, float]:
     Returns the lexicographically smallest optimal permutation and its total
     cost, computed as the exact sum of the selected entries.
     """
-    c = _as_cost_matrix(cost)
-    mapping, total = _solve_square(c)
-    return Permutation(mapping), total
+    mappings, costs = _assign(_as_cost_matrix(cost)[None])
+    return Permutation(mappings[0]), float(costs[0])
 
 
 def brute_force_assignment(cost) -> tuple[Permutation, float]:
@@ -151,12 +150,6 @@ def _check_compatible(x: StackedState, x_hat: StackedState) -> None:
         )
 
 
-def _forms_for(x: StackedState, q) -> np.ndarray | None:
-    if q is None:
-        return None
-    return target_block_forms(q, x.n_targets, x.state_dim)
-
-
 def optimal_permutation(x: StackedState, x_hat: StackedState, q=None) -> tuple[Permutation, float]:
     """Best block alignment of x_hat to x and the resulting squared distance.
 
@@ -165,10 +158,8 @@ def optimal_permutation(x: StackedState, x_hat: StackedState, q=None) -> tuple[P
     distance between the two stacked states.
     """
     _check_compatible(x, x_hat)
-    forms = _forms_for(x, q)
-    c = batch_block_cost_matrices(x.data[None], x_hat.blocks(), forms)[0]
-    mapping, total = _solve_square(c)
-    return Permutation(mapping), total
+    mappings, costs = batch_optimal_permutations(x.data[None], x_hat, q)
+    return Permutation(mappings[0]), float(costs[0])
 
 
 def _as_points(points, x_hat: StackedState) -> np.ndarray:
@@ -179,9 +170,6 @@ def _as_points(points, x_hat: StackedState) -> np.ndarray:
             f"points must have shape (m, {width}) for {x_hat.n_targets} targets of "
             f"dimension {x_hat.state_dim}, got {pts.shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise ValueError(f"points must be finite; row {int(bad[0])} is not")
     return pts
 
 
@@ -211,8 +199,9 @@ def _subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarra
 
 
 def _subset_dp_assign(cs: np.ndarray, cmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched _solve_square for a (m, n, n) stack with n <= MAX_TARGETS,
-    given each sample's largest cost cmax = cs.max(axis=(1, 2)).
+    """Lexicographically first optimal permutations and their costs for a
+    (m, n, n) stack with n <= MAX_TARGETS, given each sample's largest cost
+    cmax = cs.max(axis=(1, 2)).
 
     A backward DP fills g[S, s], the optimal cost of assigning rows |S|..n-1
     of sample s to the columns outside S, from the free columns of each S
@@ -262,6 +251,25 @@ def _kernel_rows(n: int, d: int) -> int:
     return max(1, _KERNEL_CHUNK_BYTES // (8 * words))
 
 
+def _assign(cs: np.ndarray, want_mappings: bool = True):
+    """(mappings, costs) of a nonempty (m, n, n) stack of nonnegative costs,
+    as batch_optimal_permutations returns them, by the routes above."""
+    n = cs.shape[1]
+    cmax = cs.max(axis=(1, 2))
+    with np.errstate(over="ignore"):  # NaN and +inf propagate; tol needs n * cmax
+        if not np.isfinite(cmax * n).all():
+            raise ValueError(f"costs overflow float64 in a sum of {n}; rescale the inputs")
+    if n <= MAX_TARGETS:
+        mappings, costs = _subset_dp_assign(cs, cmax)
+        return (mappings if want_mappings else None), costs
+    if want_mappings:
+        mappings, costs = zip(*map(_solve_square, cs))
+        return np.array(mappings, dtype=np.intp), np.array(costs)
+    from scipy.optimize import linear_sum_assignment
+
+    return None, np.array([c[linear_sum_assignment(c)].sum() for c in cs])
+
+
 def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
                                want_mappings: bool = True):
     """Per-row optimal alignment of x_hat to a (m, n*d) batch of points.
@@ -273,36 +281,25 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
     MAX_TARGETS both modes run the same batched kernel, so their costs are
     identical; for larger n the cost-only mode takes plain LSA per sample and
     skips the tie-break, which changes no optimal value beyond rounding.
-    Block costs are built one chunk of samples at a time, so memory beyond
-    the points and the results is bounded by the chunk, not by m.
-    Raises ValueError for points of the wrong width, non-finite points, or
-    block costs too large for a sum of n of them to stay finite in float64.
+    Each chunk of samples is checked and its block costs built in turn, so
+    memory beyond the points and the results is bounded by the chunk, not by
+    m.  Raises ValueError for points of the wrong width, non-finite points,
+    or block costs too large for a sum of n of them to stay finite in float64.
     """
     pts = _as_points(points, x_hat)
-    forms = _forms_for(x_hat, q)
     y = x_hat.blocks()
     m, (n, d) = pts.shape[0], y.shape
+    forms = None if q is None else target_block_forms(q, n, d)
     chunk = _kernel_rows(n, d)
     mappings = np.empty((m, n), dtype=np.intp) if want_mappings else None
     costs = np.empty(m)
     for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        cs = batch_block_cost_matrices(pts[lo:hi], y, forms)
-        cmax = cs.max(axis=(1, 2))
-        with np.errstate(over="ignore"):  # NaN and +inf propagate; tol needs n * cmax
-            if not np.isfinite(cmax * n).all():
-                raise ValueError("block costs overflow float64; rescale the points and estimate")
-        if n <= MAX_TARGETS:
-            maps, costs[lo:hi] = _subset_dp_assign(cs, cmax)
-            if want_mappings:
-                mappings[lo:hi] = maps
-        elif want_mappings:
-            for s, c in enumerate(cs, lo):
-                mappings[s], costs[s] = _solve_square(c)
-        else:
-            from scipy.optimize import linear_sum_assignment
-
-            for s, c in enumerate(cs, lo):
-                ri, ci = linear_sum_assignment(c)
-                costs[s] = c[ri, ci].sum()
+        rows = pts[lo:lo + chunk]
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(f"points must be finite; row {lo + int(bad[0])} is not")
+        maps, costs[lo:lo + chunk] = _assign(batch_block_cost_matrices(rows, y, forms),
+                                             want_mappings)
+        if want_mappings:
+            mappings[lo:lo + chunk] = maps
     return mappings, costs

@@ -1,6 +1,9 @@
 """Quadratic-form distance kernels shared by the metric, transport and
 geometry layers.
 
+point_cost_matrix is the one cost formula; batch_block_cost_matrices lays
+its rows out as assignment block costs.
+
 Weighted distances are evaluated as d^T Q d directly (matvec then dot) rather
 than through a Cholesky change of coordinates: the direct form makes
 Q -> c*Q scale every cost by exactly c in floating point whenever c is a
@@ -61,16 +64,16 @@ def batch_block_cost_matrices(points: np.ndarray, y_blocks: np.ndarray, forms=No
     """(m, N, N) stack of block cost matrices for m stacked points.
 
     Entry [s, i, j] is the (slot-i-weighted) squared distance between block i
-    of point s and block j of the estimate.  A sum of squares is never
-    negative, so only the weighted costs are clamped at 0.
+    of point s and block j of the estimate: one point_cost_matrix call on
+    all m * N blocks, or with forms one per slot i, weighted by forms[i].
     """
-    n, d = y_blocks.shape
-    xb = points.reshape(points.shape[0], n, d)
-    diff = xb[:, :, None, :] - y_blocks[None, None, :, :]
+    m, (n, d) = points.shape[0], y_blocks.shape
     if forms is None:
-        return np.einsum("mijk,mijk->mij", diff, diff)
-    s = np.einsum("ikl,mijl->mijk", forms, diff)
-    return np.maximum(np.einsum("mijk,mijk->mij", diff, s), 0.0)
+        return point_cost_matrix(points.reshape(m * n, d), y_blocks).reshape(m, n, n)
+    out = np.empty((m, n, n))
+    for i in range(n):
+        out[:, i] = point_cost_matrix(points[:, i * d:(i + 1) * d], y_blocks, forms[i])
+    return out
 
 
 def row_chunks(m: int, k: int, dim: int):

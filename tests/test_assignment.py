@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import lru_cache
 
@@ -11,7 +12,10 @@ from mospa import (
     StackedState,
     UnsupportedMetricError,
     brute_force_assignment,
+    gospa,
     optimal_permutation,
+    ospa,
+    region_index,
     solve_assignment,
 )
 from mospa import assignment
@@ -69,6 +73,39 @@ def test_input_validation():
         solve_assignment([[1.0, -0.5], [0.0, 1.0]])
     with pytest.raises(CapacityError):
         brute_force_assignment(np.ones((9, 9)))
+
+
+def test_overflowing_cost_sums_are_refused_on_every_entry_point():
+    # each entry is finite, but a sum of n of them is not
+    for c in ([[1e308, 0.0], [0.0, 1e308]], np.diag(np.full(MAX_TARGETS + 1, 1e308))):
+        with pytest.raises(ValueError, match="overflow"):
+            solve_assignment(c)
+    x = StackedState(2, 1, [1e154, -1e154])
+    with pytest.raises(ValueError, match="overflow"):
+        ospa(x, StackedState(2, 1, [-1e154, 1e154]))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TARGETS + 2))
+def test_only_the_per_sample_route_above_the_kernel_reaches_solve_square(n, monkeypatch):
+    def refuse(c):
+        raise AssertionError("_solve_square reached")
+
+    monkeypatch.setattr(assignment, "_solve_square", refuse)
+    rng = np.random.default_rng(40 + n)
+    x = StackedState(n, 2, rng.normal(size=2 * n))
+    x_hat = StackedState(n, 2, rng.normal(size=2 * n))
+    q = block_diagonal_q(rng, n, 2)
+    calls = (lambda: solve_assignment(rng.random((n, n))),
+             lambda: optimal_permutation(x, x_hat),
+             lambda: ospa(x, x_hat),
+             lambda: gospa(x, x_hat, q),
+             lambda: region_index(x, x_hat, q))
+    for call in calls:
+        if n <= MAX_TARGETS:
+            call()
+        else:
+            with pytest.raises(AssertionError, match="_solve_square reached"):
+                call()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -181,7 +218,7 @@ def test_batch_matches_single():
     assert np.array_equal(costs_only, costs)
 
 
-def test_batch_rejects_malformed_points():
+def test_batch_rejects_malformed_points(monkeypatch):
     x_hat = StackedState(3, 2, np.arange(6.0))
     good = np.zeros((4, 6))
     for value in (np.nan, np.inf):
@@ -189,6 +226,16 @@ def test_batch_rejects_malformed_points():
         points[2, 5] = value
         with pytest.raises(ValueError, match="row 2"):
             batch_optimal_permutations(points, x_hat)
+    # each chunk checks its own rows; the message gives the row in the batch
+    budget = assignment._KERNEL_CHUNK_BYTES * 3 // assignment._kernel_rows(3, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(assignment, "_KERNEL_CHUNK_BYTES", budget)
+        assert assignment._kernel_rows(3, 2) == 3
+        points = np.zeros((7, 6))
+        points[5, 0] = np.nan
+        for want_mappings in (True, False):
+            with pytest.raises(ValueError, match="row 5 is not"):
+                batch_optimal_permutations(points, x_hat, want_mappings=want_mappings)
     for shape in ((4, 5), (4, 7), (6,), (2, 3, 2)):
         with pytest.raises(ValueError, match=r"shape \(m, 6\)"):
             batch_optimal_permutations(np.zeros(shape), x_hat)
@@ -200,19 +247,38 @@ def test_batch_rejects_malformed_points():
     assert batch_optimal_permutations(np.empty((0, 6)), x_hat, want_mappings=False)[1].shape == (0,)
 
 
-def test_batch_above_kernel_cap_matches_single():
-    # n > MAX_TARGETS: the per-sample path (2^n table sizes rule out the kernel)
+def _first_exhaustive_minimum(c):
+    """Lexicographically first optimal permutation of an integer-valued cost
+    matrix, and its cost, over all n! permutations in chunks: slot 0 fixed,
+    the rest from itertools (n <= 9)."""
+    n = c.shape[0]
+    tails = np.array(list(itertools.permutations(range(n - 1))), dtype=np.intp)
+    chunk_minima = []
+    for first in range(n):  # ascending first slot, each tail block in lex order
+        rest = np.array([j for j in range(n) if j != first])
+        perms = np.column_stack([np.full(len(tails), first), rest[tails]])
+        totals = c[np.arange(n), perms].sum(axis=1)
+        best = int(np.argmin(totals))
+        chunk_minima.append((tuple(int(v) for v in perms[best]), totals[best]))
+    return min(chunk_minima, key=lambda pair: pair[1])  # the first of equal minima
+
+
+def test_batch_above_kernel_cap_matches_exhaustive_minimum():
+    # n > MAX_TARGETS runs the per-sample route; an independent exhaustive
+    # search over the 9! permutations checks it.  Coordinates in {-1, 0, 1}
+    # give integer costs with many exact ties, so every sum is exact
     rng = np.random.default_rng(11)
     n = MAX_TARGETS + 1
-    x_hat = StackedState(n, 1, rng.normal(size=n))
-    points = rng.normal(size=(5, n))
+    x_hat = StackedState(n, 1, rng.integers(-1, 2, size=n).astype(float))
+    points = rng.integers(-1, 2, size=(5, n)).astype(float)
     mappings, costs = batch_optimal_permutations(points, x_hat)
     _, costs_only = batch_optimal_permutations(points, x_hat, want_mappings=False)
     for s in range(len(points)):
-        perm, cost = optimal_permutation(StackedState(n, 1, points[s]), x_hat)
-        assert tuple(mappings[s]) == perm.mapping
-        assert costs[s] == cost
-        assert costs_only[s] == cost
+        c = (points[s][:, None] - x_hat.data[None, :]) ** 2
+        mapping, total = _first_exhaustive_minimum(c)
+        assert tuple(mappings[s]) == mapping
+        assert costs[s].tobytes() == total.tobytes()
+        assert costs_only[s].tobytes() == total.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, MAX_TARGETS + 1])
@@ -267,15 +333,22 @@ def test_cost_only_batch_allocates_no_mappings():
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("n", [3, 5, MAX_TARGETS])
-def test_batch_memory_is_bounded_by_the_chunk_budget(n):
+@pytest.mark.parametrize("n, d, m, modes", [
+    pytest.param(3, 2, None, (True, False), id="3"),
+    pytest.param(5, 2, None, (True, False), id="5"),
+    pytest.param(MAX_TARGETS, 2, None, (True, False), id="8"),
+    # many chunks: a finiteness mask over the whole batch (17 bytes a row
+    # here) would alone break the bound
+    pytest.param(MAX_TARGETS, 3, 300_000, (False,), id="8-d3-cost-only"),
+])
+def test_batch_memory_is_bounded_by_the_chunk_budget(n, d, m, modes):
     # what a kernel chunk holds at its peak stays within the budget that
     # sizes it: _kernel_rows counts every array of the chunk
-    rng = np.random.default_rng(15 + n)
-    rows = assignment._kernel_rows(n, 2)
-    points = rng.normal(size=(3 * rows + rows // 2, 2 * n))
-    x_hat = StackedState(n, 2, rng.normal(size=2 * n))
-    for want_mappings in (True, False):
+    rng = np.random.default_rng(15 + n + 10 * (d - 2))
+    rows = assignment._kernel_rows(n, d)
+    points = rng.normal(size=(m or 3 * rows + rows // 2, d * n))
+    x_hat = StackedState(n, d, rng.normal(size=d * n))
+    for want_mappings in modes:
         tracemalloc.start()
         try:
             mappings, costs = batch_optimal_permutations(points, x_hat,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import block_diagonal_q
-from mospa.quadform import point_cost_matrix, row_chunks
+from mospa.quadform import batch_block_cost_matrices, point_cost_matrix, row_chunks
 
 
 def _broadcast_costs(points, targets, q=None):
@@ -66,3 +66,61 @@ def test_point_cost_matrix_memory_is_bounded_by_the_chunk():
     diff = points[:5, None, :] - targets[None]
     assert np.allclose(out[:5], np.einsum("mkd,de,mke->mk", diff, q, diff),
                        rtol=1e-13, atol=0)
+
+
+def _broadcast_block_costs(points, y_blocks, forms=None):
+    """The block costs as one broadcast (m, n, n, d) difference: the reference
+    that batch_block_cost_matrices must match bit for bit."""
+    n, d = y_blocks.shape
+    xb = points.reshape(points.shape[0], n, d)
+    diff = xb[:, :, None, :] - y_blocks[None, None, :, :]
+    if forms is None:
+        return np.einsum("mijk,mijk->mij", diff, diff)
+    s = np.einsum("ikl,mijl->mijk", forms, diff)
+    return np.maximum(np.einsum("mijk,mijk->mij", diff, s), 0.0)
+
+
+def _block_cost_case(kind, n, d, rng):
+    """(points, y_blocks, forms) for the block-cost layout, by kind:
+    continuous, tied ({-1, 0, 1} coordinates), duplicate (repeated blocks),
+    huge (~1e153, where sums of squares overflow), or rank-one (forms v v^T
+    and points off a block along v's normal, where d^T Q d rounds to
+    negative values that the clamp lifts to 0)."""
+    m = 37
+    if kind == "tied":
+        points = rng.integers(-1, 2, size=(m, n * d)).astype(float)
+        y = rng.integers(-1, 2, size=(n, d)).astype(float)
+    else:
+        points = rng.normal(size=(m, n * d))
+        y = rng.normal(size=(n, d))
+    if kind == "duplicate":
+        y[n // 2:] = y[0]
+    if kind == "huge":
+        points *= 1e153
+        y *= 1e153
+    forms = np.stack([block_diagonal_q(rng, 1, d) for _ in range(n)])
+    if kind == "rank-one":
+        v = rng.normal(size=(n, d))
+        forms = v[:, :, None] * v[:, None, :]
+        normal = rng.normal(size=d)
+        normal -= normal @ v[0] / (v[0] @ v[0]) * v[0]
+        points = (y[rng.integers(0, n, size=(m, n))]
+                  + rng.normal(size=(m, n, 1)) * normal
+                  + 1e-9 * rng.normal(size=(m, n, d))).reshape(m, n * d)
+    return points, y, forms
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "duplicate", "huge", "rank-one"])
+def test_block_costs_match_the_broadcast_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    lifted = 0
+    for n in range(1, 9):
+        for d in range(1, 5):
+            points, y, forms = _block_cost_case(kind, n, d, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for f in (None, forms):
+                    out = batch_block_cost_matrices(points, y, f)
+                    assert out.tobytes() == _broadcast_block_costs(points, y, f).tobytes()
+            lifted += int(np.sum(out == 0.0))
+    if kind == "rank-one":
+        assert lifted > 0  # weighted costs that the clamp lifted from below 0
