@@ -6,9 +6,10 @@ optimal cost of the remaining rows on the remaining columns is within
 tol = _TIE_RTOL * max(1, n * max(c)) of the optimum still to be met, and the
 first acceptable column is taken.  Every entry point hands an (m, n, n)
 cost stack to one dispatcher, _assign, whose one max pass gives both the
-overflow check and tol.  It has two routes:
+overflow check and tol, which it hands to either of two routes:
 
-- n <= MAX_TARGETS: a vectorized kernel per chunk of samples.  A backward
+- n <= MAX_TARGETS: a vectorized kernel per chunk of samples (chunks are
+  quadform.row_chunks of _kernel_words per sample).  A backward
   DP over column subsets tabulates every completion value (2^n per sample),
   each subset adding only the columns outside it, then a greedy walk applies
   the test.  Each optimum the walk compares against is a table entry that
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .quadform import batch_block_cost_matrices, target_block_forms
+from .quadform import batch_block_cost_matrices, row_chunks, target_block_forms
 from .states import (
     MAX_TARGETS,
     Permutation,
@@ -43,13 +44,6 @@ from .states import (
 # needs to absorb summation-order noise (a few ulp); keeping it this tight
 # bounds any refinement slack well under the 1e-12 oracle-agreement contract.
 _TIE_RTOL = 1e-13
-
-# Bytes per chunk of samples, as _kernel_rows counts them: block costs, DP
-# table, DP layer and walk.  Chunks this size stay in cache: among 256 KiB..
-# 16 MiB, 2 and 4 MiB ran n = 3..8 fastest on a 2-CPU x86 VM (2 MiB L2 per
-# core), 1 MiB up to 1.2x and 512 KiB up to 1.7x slower.  Every value is per
-# sample, so the size moves no bit.
-_KERNEL_CHUNK_BYTES = 1 << 21
 
 
 def _as_cost_matrix(cost) -> np.ndarray:
@@ -81,14 +75,14 @@ def _completion_value(c: np.ndarray, rows: list[int], cols: list[int]) -> float:
     return float(sub[ri, ci].sum())
 
 
-def _solve_square(c: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Optimal permutation with lexicographic tie-break; c is pre-validated."""
+def _solve_square(c: np.ndarray, tol: float) -> tuple[tuple[int, ...], float]:
+    """Optimal permutation with lexicographic tie-break at tolerance tol; c is
+    pre-validated."""
     from scipy.optimize import linear_sum_assignment
 
     n = c.shape[0]
     ri, ci = linear_sum_assignment(c)
     target = float(c[ri, ci].sum())
-    tol = _TIE_RTOL * max(1.0, float(np.abs(c).max()) * n)
 
     mapping: list[int] = []
     cols = list(range(n))
@@ -198,10 +192,9 @@ def _subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarra
     return nxt, layers
 
 
-def _subset_dp_assign(cs: np.ndarray, cmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _subset_dp_assign(cs: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically first optimal permutations and their costs for a
-    (m, n, n) stack with n <= MAX_TARGETS, given each sample's largest cost
-    cmax = cs.max(axis=(1, 2)).
+    (m, n, n) stack with n <= MAX_TARGETS, given each sample's tie tolerance.
 
     A backward DP fills g[S, s], the optimal cost of assigning rows |S|..n-1
     of sample s to the columns outside S, from the free columns of each S
@@ -221,7 +214,6 @@ def _subset_dp_assign(cs: np.ndarray, cmax: np.ndarray) -> tuple[np.ndarray, np.
         part = ct[k].take(free, axis=0)
         part += g.take(steps, axis=0)
         g[rows] = part.min(axis=1)
-    tol = _TIE_RTOL * np.maximum(1.0, cmax * n)
     samples = np.arange(m)
     flat_g = g.reshape(-1)
     used = np.zeros(m, dtype=np.intp)
@@ -241,29 +233,28 @@ def _subset_dp_assign(cs: np.ndarray, cmax: np.ndarray) -> tuple[np.ndarray, np.
     return mappings, costs
 
 
-def _kernel_rows(n: int, d: int) -> int:
-    """Samples per chunk of batch_optimal_permutations: as many as fit
-    _KERNEL_CHUNK_BYTES at the float64 words one sample holds (at least 1)."""
+def _kernel_words(n: int, d: int) -> int:
+    """Float64 words one sample holds in a chunk of batch_optimal_permutations."""
     words = n * n * (d + 1)  # block-cost differences and cost stack
     if n <= MAX_TARGETS:  # transposed costs, DP table, widest layer, walk
         widest = max(2 * free.size + rows.size for rows, free, _ in _subset_tables(n)[1])
         words += n * n + (1 << n) + 1 + widest + 6 * n
-    return max(1, _KERNEL_CHUNK_BYTES // (8 * words))
+    return words
 
 
 def _assign(cs: np.ndarray, want_mappings: bool = True):
     """(mappings, costs) of a nonempty (m, n, n) stack of nonnegative costs,
     as batch_optimal_permutations returns them, by the routes above."""
     n = cs.shape[1]
-    cmax = cs.max(axis=(1, 2))
-    with np.errstate(over="ignore"):  # NaN and +inf propagate; tol needs n * cmax
-        if not np.isfinite(cmax * n).all():
-            raise ValueError(f"costs overflow float64 in a sum of {n}; rescale the inputs")
+    with np.errstate(over="ignore"):  # NaN and +inf propagate to tol
+        tol = _TIE_RTOL * np.maximum(1.0, cs.max(axis=(1, 2)) * n)
+    if not np.isfinite(tol).all():
+        raise ValueError(f"costs overflow float64 in a sum of {n}; rescale the inputs")
     if n <= MAX_TARGETS:
-        mappings, costs = _subset_dp_assign(cs, cmax)
+        mappings, costs = _subset_dp_assign(cs, tol)
         return (mappings if want_mappings else None), costs
     if want_mappings:
-        mappings, costs = zip(*map(_solve_square, cs))
+        mappings, costs = zip(*map(_solve_square, cs, tol))
         return np.array(mappings, dtype=np.intp), np.array(costs)
     from scipy.optimize import linear_sum_assignment
 
@@ -290,16 +281,14 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
     y = x_hat.blocks()
     m, (n, d) = pts.shape[0], y.shape
     forms = None if q is None else target_block_forms(q, n, d)
-    chunk = _kernel_rows(n, d)
     mappings = np.empty((m, n), dtype=np.intp) if want_mappings else None
     costs = np.empty(m)
-    for lo in range(0, m, chunk):
-        rows = pts[lo:lo + chunk]
+    for lo, hi in row_chunks(m, _kernel_words(n, d)):
+        rows = pts[lo:hi]
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
             raise ValueError(f"points must be finite; row {lo + int(bad[0])} is not")
-        maps, costs[lo:lo + chunk] = _assign(batch_block_cost_matrices(rows, y, forms),
-                                             want_mappings)
+        maps, costs[lo:hi] = _assign(batch_block_cost_matrices(rows, y, forms), want_mappings)
         if want_mappings:
-            mappings[lo:lo + chunk] = maps
+            mappings[lo:hi] = maps
     return mappings, costs

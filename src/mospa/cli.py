@@ -26,6 +26,7 @@ from .assignment import batch_optimal_permutations
 from .estimation import MmospaConfig, mmospa_estimate, mospa_mc
 from .geometry import WeightedSites, cells_match_regions, export_diagram_2d
 from .measures import build_region_measure, estimate_region_masses, gm_sample
+from .metrics import _warn_if_degenerate
 from .scenarios import Scenario, ScenarioParseError, parse_scenario, scenario_digest
 from .states import (
     StackedState,
@@ -114,6 +115,7 @@ def _cmd_distance_table(args, scenario, digest, out: Path):
     if args.subcommand == "gospa" and q is None:
         raise ValueError("gospa requires --q scenario (use ospa for the identity weight)")
     samples = _sample(scenario)
+    _warn_if_degenerate(x_hat)  # the region_rank column, as batch_region_ranks warns
     mappings, costs = batch_optimal_permutations(samples.points, x_hat, q)
     ranks = batch_permutation_ranks(mappings)
     rows = ((i, costs[i], int(ranks[i])) for i in range(len(samples)))

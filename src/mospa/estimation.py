@@ -144,7 +144,7 @@ def _step(points, weights, atoms, inv_perms, n, d, q, forms):
         hi = min(lo + _CHUNK, m)
         arg = np.empty(hi - lo, dtype=np.intp) if best is None else best[lo:hi]
         low = np.empty(hi - lo)
-        for a, b in row_chunks(hi - lo, k, atoms.shape[1]):
+        for a, b in row_chunks(hi - lo, atoms.size):
             costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
             arg[a:b] = costs.argmin(axis=1)  # first minimum = lexicographic
             low[a:b] = costs.take(arg[a:b] + k * np.arange(b - a))

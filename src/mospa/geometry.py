@@ -127,7 +127,7 @@ def cells_match_regions(x_hat: StackedState, samples: EmpiricalMeasure, q=None,
     m = len(samples)
     cell = np.empty(m, dtype=np.intp)
     keep = np.empty(m, dtype=bool)
-    for lo, hi in row_chunks(m, *sites.points.shape):
+    for lo, hi in row_chunks(m, sites.points.size):
         costs = power_costs(samples.points[lo:hi], sites, q)
         cell[lo:hi] = np.argmin(costs, axis=1)
         part = np.partition(costs, 1, axis=1)

@@ -18,14 +18,24 @@ from mospa import (
     region_index,
     solve_assignment,
 )
-from mospa import assignment
+from mospa import assignment, quadform
 from mospa.assignment import (
     _TIE_RTOL,
     _solve_square,
     _subset_dp_assign,
     batch_optimal_permutations,
 )
-from mospa.quadform import batch_block_cost_matrices, target_block_forms
+from mospa.quadform import batch_block_cost_matrices, row_chunks, target_block_forms
+
+
+def _kernel_rows(n, d):
+    """Samples per kernel chunk at the current quadform._CHUNK_BYTES."""
+    return next(row_chunks(1 << 40, assignment._kernel_words(n, d)))[1]
+
+
+def _budget_for_rows(rows, n, d):
+    """A quadform._CHUNK_BYTES that holds `rows` samples per kernel chunk."""
+    return 8 * rows * assignment._kernel_words(n, d)
 
 
 def test_zero_diagonal():
@@ -46,8 +56,10 @@ def test_near_tie_within_tolerance_takes_first_column():
     c = np.array([[1.0 + 2**-51, 1.0], [1.0, 1.0]])
     perm, cost = solve_assignment(c)
     assert perm.mapping == (0, 1) and cost == 2.0 + 2**-51
-    mappings, costs = _subset_dp_assign(c[None], c[None].max(axis=(1, 2)))
+    tol = _TIE_RTOL * 2 * c.max()
+    mappings, costs = _subset_dp_assign(c[None], np.array([tol]))
     assert tuple(mappings[0]) == (0, 1) and costs[0] == cost
+    assert _solve_square(c, tol) == ((0, 1), cost)
     assert brute_force_assignment(c)[0].mapping == (1, 0)
 
 
@@ -87,7 +99,7 @@ def test_overflowing_cost_sums_are_refused_on_every_entry_point():
 
 @pytest.mark.parametrize("n", range(1, MAX_TARGETS + 2))
 def test_only_the_per_sample_route_above_the_kernel_reaches_solve_square(n, monkeypatch):
-    def refuse(c):
+    def refuse(c, tol):
         raise AssertionError("_solve_square reached")
 
     monkeypatch.setattr(assignment, "_solve_square", refuse)
@@ -227,10 +239,9 @@ def test_batch_rejects_malformed_points(monkeypatch):
         with pytest.raises(ValueError, match="row 2"):
             batch_optimal_permutations(points, x_hat)
     # each chunk checks its own rows; the message gives the row in the batch
-    budget = assignment._KERNEL_CHUNK_BYTES * 3 // assignment._kernel_rows(3, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(assignment, "_KERNEL_CHUNK_BYTES", budget)
-        assert assignment._kernel_rows(3, 2) == 3
+        patch.setattr(quadform, "_CHUNK_BYTES", _budget_for_rows(3, 3, 2))
+        assert _kernel_rows(3, 2) == 3
         points = np.zeros((7, 6))
         points[5, 0] = np.nan
         for want_mappings in (True, False):
@@ -289,9 +300,8 @@ def test_chunked_batch_matches_one_chunk(n, monkeypatch):
     points = rng.normal(size=(7, 2 * n))
     whole = batch_optimal_permutations(points, x_hat)
     whole_costs = batch_optimal_permutations(points, x_hat, want_mappings=False)[1]
-    budget = assignment._KERNEL_CHUNK_BYTES * 3 // assignment._kernel_rows(n, 2)
-    monkeypatch.setattr(assignment, "_KERNEL_CHUNK_BYTES", budget)
-    assert assignment._kernel_rows(n, 2) == 3  # chunks of 3, 3 and 1 samples
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", _budget_for_rows(3, n, 2))
+    assert _kernel_rows(n, 2) == 3  # chunks of 3, 3 and 1 samples
     mappings, costs = batch_optimal_permutations(points, x_hat)
     assert np.array_equal(mappings, whole[0]) and np.array_equal(costs, whole[1])
     assert np.array_equal(batch_optimal_permutations(points, x_hat, want_mappings=False)[1],
@@ -299,6 +309,24 @@ def test_chunked_batch_matches_one_chunk(n, monkeypatch):
     points[-1] = 1e200  # overflow in the last chunk only
     with pytest.raises(ValueError, match="overflow"):
         batch_optimal_permutations(points, x_hat, want_mappings=False)
+
+
+@pytest.mark.parametrize("want_mappings", [True, False])
+def test_kernel_chunks_follow_the_one_row_budget(want_mappings, monkeypatch):
+    # patching quadform's budget alone re-chunks the kernel: one rule for both
+    rng = np.random.default_rng(16)
+    x_hat = StackedState(3, 2, rng.normal(size=6))
+    points = rng.normal(size=(7, 6))
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", _budget_for_rows(3, 3, 2))
+    assign, sizes = assignment._assign, []
+
+    def spy(cs, want_mappings=True):
+        sizes.append(cs.shape[0])
+        return assign(cs, want_mappings)
+
+    monkeypatch.setattr(assignment, "_assign", spy)
+    batch_optimal_permutations(points, x_hat, want_mappings=want_mappings)
+    assert sizes == [3, 3, 1]
 
 
 def test_cost_only_batch_memory_is_bounded_by_the_chunk():
@@ -343,9 +371,9 @@ def test_cost_only_batch_allocates_no_mappings():
 ])
 def test_batch_memory_is_bounded_by_the_chunk_budget(n, d, m, modes):
     # what a kernel chunk holds at its peak stays within the budget that
-    # sizes it: _kernel_rows counts every array of the chunk
+    # sizes it: _kernel_words counts every array of the chunk
     rng = np.random.default_rng(15 + n + 10 * (d - 2))
-    rows = assignment._kernel_rows(n, d)
+    rows = _kernel_rows(n, d)
     points = rng.normal(size=(m or 3 * rows + rows // 2, d * n))
     x_hat = StackedState(n, d, rng.normal(size=d * n))
     for want_mappings in modes:
@@ -357,7 +385,7 @@ def test_batch_memory_is_bounded_by_the_chunk_budget(n, d, m, modes):
         finally:
             tracemalloc.stop()
         results = costs.nbytes + (0 if mappings is None else mappings.nbytes)
-        assert peak - results <= 2 * assignment._KERNEL_CHUNK_BYTES
+        assert peak - results <= 2 * quadform._CHUNK_BYTES
 
 
 # The kernel as it was before the DP ran over free columns only: every layer
@@ -422,7 +450,7 @@ def _assert_kernel_matches_dense_reference(points, x_hat, q=None):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", range(1, MAX_TARGETS + 1))
 def test_kernel_matches_the_dense_reference(n, d):
-    rows = assignment._kernel_rows(n, d)
+    rows = _kernel_rows(n, d)
     kinds = ("continuous", "tied", "duplicate", "near-tie", "weighted")
     for seed, kind in enumerate(kinds, 100 * n + 10 * d):
         # one chunk; then three chunks, the last one partial
@@ -441,4 +469,4 @@ def test_kernel_takes_the_column_on_the_tolerance_boundary():
     assert cs[0, 0, 1] + cs[0, 1, 0] == 0.0
     mappings, costs = _assert_kernel_matches_dense_reference(points, x_hat)
     assert tuple(mappings[0]) == (0, 1) and costs[0] == _TIE_RTOL
-    assert _solve_square(cs[0]) == ((0, 1), _TIE_RTOL)
+    assert _solve_square(cs[0], _TIE_RTOL) == ((0, 1), _TIE_RTOL)

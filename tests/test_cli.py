@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
-from mospa import StackedState, estimate_region_masses, gm_sample, parse_scenario
+from mospa import (
+    DegenerateEstimateWarning,
+    StackedState,
+    estimate_region_masses,
+    gm_sample,
+    parse_scenario,
+)
 
 FIG = str(Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "fig1.json")
 EIGHT = str(Path(FIG).parent / "eight_targets.json")
+WEIGHTED = str(Path(FIG).parent / "weighted_pair.json")
 
 
 def run_cli(args, env_extra=None):
@@ -92,6 +99,20 @@ def test_ospa_and_mospa_tables(tmp_path):
     value = float(mospa_out.read_text().splitlines()[2].split(",")[0])
     per_sample = [float(r.split(",")[1]) for r in rows]
     assert value == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ospa", "--scenario", FIG, "--x-hat=-4,-4"], id="ospa"),
+    pytest.param(["gospa", "--scenario", WEIGHTED, "--q", "scenario", "--x-hat=1,1,1,1"],
+                 id="gospa"),
+])
+def test_distance_tables_warn_on_a_degenerate_estimate(argv, tmp_path):
+    import mospa.cli as cli
+
+    # the region_rank column falls back to the tie-break, as in `masses`
+    with pytest.warns(DegenerateEstimateWarning, match="duplicate target blocks"):
+        code = cli.run([*argv, "--samples", "5", "--output", str(tmp_path / "out.csv")])
+    assert code == 0
 
 
 def test_wasserstein_matches_mospa(tmp_path):

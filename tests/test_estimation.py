@@ -36,7 +36,7 @@ def _alignment_pass(points, weights, atoms, q):
     m = points.shape[0]
     best = np.empty(m, dtype=np.intp)
     low = np.empty(m)
-    for lo, hi in row_chunks(m, *atoms.shape):
+    for lo, hi in row_chunks(m, atoms.size):
         costs = point_cost_matrix(points[lo:hi], atoms, q)
         best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
         # the minima, read at the argmin: cheaper than a min over a short axis
@@ -202,7 +202,7 @@ def test_mmospa_sweeps_once_per_step(monkeypatch):
 
     monkeypatch.setattr(estimation, "point_cost_matrix", counting)
     emp = gm_sample(random_mixture(np.random.default_rng(80), 2, 2, 3), seed=6, m=5000)
-    assert len(list(row_chunks(len(emp), 2, emp.dim))) == 1  # one cost chunk per sweep
+    assert len(list(row_chunks(len(emp), 2 * emp.dim))) == 1  # one cost chunk per sweep
     res = mmospa_estimate(emp, config=MmospaConfig(seed=4, restarts=1))
     assert res.iterations >= 3
     assert res.restart_outcomes[0].sweeps == 6
@@ -225,7 +225,7 @@ def test_step_is_independent_of_the_cost_chunk(monkeypatch, weighted):
     rng = np.random.default_rng(90)
     args = _step_args(rng, 3, 2, 5000, weighted)
     atoms = args[2]
-    assert len(list(row_chunks(5000, *atoms.shape))) == 1
+    assert len(list(row_chunks(5000, atoms.size))) == 1
     obj, nxt = estimation._step(*args)
     monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * atoms.size * 7)  # 7 rows a chunk
     chunked_obj, chunked_nxt = estimation._step(*args)

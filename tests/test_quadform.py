@@ -12,7 +12,7 @@ def _broadcast_costs(points, targets, q=None):
     that point_cost_matrix must match bit for bit."""
     m = points.shape[0]
     out = np.empty((m, targets.shape[0]))
-    for lo, hi in row_chunks(m, *targets.shape):
+    for lo, hi in row_chunks(m, targets.size):
         diff = points[lo:hi, None, :] - targets[None, :, :]
         if q is None:
             out[lo:hi] = np.einsum("mkd,mkd->mk", diff, diff)
@@ -28,7 +28,7 @@ def test_point_cost_matrix_matches_the_broadcast_reference(k, weighted):
     rng = np.random.default_rng(k + weighted)
     for dim in (1, 2, 3, 5, 14):
         q = block_diagonal_q(rng, 1, dim) if weighted else None
-        step = next(row_chunks(1 << 30, k, dim))[1]
+        step = next(row_chunks(1 << 30, k * dim))[1]
         m = 2 * step + 3  # two full chunks and a partial third
         targets = rng.normal(size=(k, dim), scale=2.0)
         points = rng.normal(size=(m, dim), scale=2.0)
