@@ -14,9 +14,9 @@ call memoizes X -> (objective, N(X)) by X's bytes: restarts that reach a
 bit-equal estimate share its future, and each distinct estimate is swept once
 per call.  A step walks fixed blocks of _CHUNK samples; each block is scored
 one quadform.row_chunks chunk at a time, then adds its weighted minima to the
-objective and its aligned sample blocks to the average.  Only the weighted
-average (a slot weight matrix is present) keeps a whole-sample alignment,
-for its normal equations.
+objective and its aligned sample blocks to the average (with slot weight
+matrices, to the sums of its normal equations), so it keeps nothing per
+sample.
 """
 
 from __future__ import annotations
@@ -131,18 +131,21 @@ def _step(points, weights, atoms, inv_perms, n, d, q, forms):
 
     One pass over fixed blocks of _CHUNK samples.  A block aligns each sample
     to its first minimum atom (lexicographic), one quadform.row_chunks chunk
-    of costs at a time, adds its weighted minima to the objective and, without
-    a weight matrix, its weighted source blocks to the average.  With one, the
-    slot averages solve normal equations over the whole-sample alignment.
+    of costs at a time, and adds its weighted minima to the objective.
+    Without slot weight matrices F_i it adds its weighted aligned sample
+    blocks to the average.  With them it adds to the weight sum W_ji and the
+    weighted block sum S_ji of the samples whose block i it assigns to slot
+    j; after the pass slot j solves sum_i W_ji F_i x = sum_i F_i S_ji.
     """
     m, k = points.shape[0], atoms.shape[0]
     rows = points.reshape(m * n, d)
-    best = None if forms is None else np.empty(m, dtype=np.intp)
     obj = 0.0
     acc = np.zeros((n, d))
+    wsum = np.zeros((n, n))
+    xsum = np.zeros((n, n, d))
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
-        arg = np.empty(hi - lo, dtype=np.intp) if best is None else best[lo:hi]
+        arg = np.empty(hi - lo, dtype=np.intp)
         low = np.empty(hi - lo)
         for a, b in row_chunks(hi - lo, atoms.size):
             costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
@@ -150,34 +153,27 @@ def _step(points, weights, atoms, inv_perms, n, d, q, forms):
             low[a:b] = costs.take(arg[a:b] + k * np.arange(b - a))
         w_blk = weights[lo:hi]
         obj += float(np.sum(w_blk * low))
-        if best is None:
-            src = inv_perms.take(arg, axis=0) + (n * np.arange(lo, hi))[:, None]
+        src = inv_perms.take(arg, axis=0)
+        if forms is None:
+            src += (n * np.arange(lo, hi))[:, None]
             acc += np.einsum("m,m...->...", w_blk, rows.take(src, axis=0))
-    if best is None:
+            continue
+        blocks = points[lo:hi].reshape(hi - lo, n, d)
+        for j in range(n):
+            for i in range(n):
+                mask = src[:, j] == i
+                wsum[j, i] += float(np.sum(w_blk[mask]))
+                xsum[j, i] += np.einsum("m,m...->...", w_blk[mask], blocks[mask, i])
+    if forms is None:
         return obj, (acc / np.sum(weights)).reshape(-1)
-    return obj, _normal_equations(points, weights, inv_perms[best], n, d, forms).reshape(-1)
-
-
-def _normal_equations(points, weights, src, n_targets, state_dim, forms):
-    """Slot averages under the slot weight matrices: slot j solves
-    sum_i W_ij F_i x = sum_i F_i S_ij over the sample blocks i that src
-    assigns to it (weight sum W_ij, weighted block sum S_ij)."""
-    m = points.shape[0]
-    blocks = points.reshape(m, n_targets, state_dim)
-    new_blocks = np.empty((n_targets, state_dim))
-    for j in range(n_targets):
-        lhs = np.zeros((state_dim, state_dim))
-        rhs = np.zeros(state_dim)
-        for i in range(n_targets):
-            mask = src[:, j] == i
-            if not np.any(mask):
-                continue
-            wsum = float(np.sum(weights[mask]))
-            xsum = _weighted_column_sum(weights[mask], blocks[mask, i])
-            lhs += wsum * forms[i]
-            rhs += forms[i] @ xsum
-        new_blocks[j] = np.linalg.solve(lhs, rhs)
-    return new_blocks
+    for j in range(n):
+        lhs = np.zeros((d, d))
+        rhs = np.zeros(d)
+        for i in range(n):
+            lhs += wsum[j, i] * forms[i]
+            rhs += forms[i] @ xsum[j, i]
+        acc[j] = np.linalg.solve(lhs, rhs)
+    return obj, acc.reshape(-1)
 
 
 def _canonical_blocks(blocks: np.ndarray) -> np.ndarray:

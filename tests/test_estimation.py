@@ -24,13 +24,14 @@ from mospa import estimation, quadform, rng as mospa_rng
 from mospa.quadform import point_cost_matrix, row_chunks, target_block_forms
 from mospa.states import _atom_index_matrix, permutation_array
 
-README_SCENARIO = (Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-                   / "two_iid_normals.json")
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+README_SCENARIO = SCENARIOS / "two_iid_normals.json"
+WEIGHTED_SCENARIO = SCENARIOS / "weighted_pair.json"
 
 
-# The descent step as two passes, an alignment sweep and then an average over
-# a whole-sample gather: the reference that estimation._step must match bit
-# for bit.
+# The descent step as two passes, an alignment sweep over the whole sample and
+# then an average of the aligned sample: the reference that estimation._step
+# must match bit for bit.
 def _alignment_pass(points, weights, atoms, q):
     """One sweep over the samples: the objective and the best atom per sample."""
     m = points.shape[0]
@@ -50,24 +51,51 @@ def _alignment_pass(points, weights, atoms, q):
 
 def _average_step(points, weights, src, n_targets, state_dim, forms):
     """New estimate blocks: weighted average of the sample blocks assigned to
-    each slot (normal equations when a slot weight matrix is present)."""
+    each slot.  With slot weight matrices, the normal equations, whose sums
+    are taken per estimation._CHUNK block of the aligned sample."""
     m = points.shape[0]
     blocks = points.reshape(m, n_targets, state_dim)
-    gathered = blocks[np.arange(m)[:, None], src]
     if forms is None:
+        gathered = blocks[np.arange(m)[:, None], src]
         return estimation._weighted_column_sum(weights, gathered) / np.sum(weights)
+    wsum = np.zeros((n_targets, n_targets))
+    xsum = np.zeros((n_targets, n_targets, state_dim))
+    for lo in range(0, m, estimation._CHUNK):
+        w, s, b = (a[lo:lo + estimation._CHUNK] for a in (weights, src, blocks))
+        for j in range(n_targets):
+            for i in range(n_targets):
+                mask = s[:, j] == i
+                wsum[j, i] += float(np.sum(w[mask]))
+                xsum[j, i] += np.einsum("m,m...->...", w[mask], b[mask, i])
+    return _solve_normal_equations(wsum, xsum, forms)
+
+
+def _whole_sample_normal_equations(points, weights, src, n_targets, state_dim, forms):
+    """The weighted average with each slot's sums taken over the whole sample
+    at once: a second reference, which the blocked sums match within
+    rounding."""
+    blocks = points.reshape(points.shape[0], n_targets, state_dim)
+    wsum = np.zeros((n_targets, n_targets))
+    xsum = np.zeros((n_targets, n_targets, state_dim))
+    for j in range(n_targets):
+        for i in range(n_targets):
+            mask = src[:, j] == i
+            wsum[j, i] = float(np.sum(weights[mask]))
+            xsum[j, i] = estimation._weighted_column_sum(weights[mask], blocks[mask, i])
+    return _solve_normal_equations(wsum, xsum, forms)
+
+
+def _solve_normal_equations(wsum, xsum, forms):
+    """Slot j solves sum_i W_ji F_i x = sum_i F_i S_ji, given the weight sums
+    W_ji and weighted block sums S_ji of the sample blocks i assigned to j."""
+    n_targets, state_dim = xsum.shape[1:]
     new_blocks = np.empty((n_targets, state_dim))
     for j in range(n_targets):
         lhs = np.zeros((state_dim, state_dim))
         rhs = np.zeros(state_dim)
         for i in range(n_targets):
-            mask = src[:, j] == i
-            if not np.any(mask):
-                continue
-            wsum = float(np.sum(weights[mask]))
-            xsum = estimation._weighted_column_sum(weights[mask], blocks[mask, i])
-            lhs += wsum * forms[i]
-            rhs += forms[i] @ xsum
+            lhs += wsum[j, i] * forms[i]
+            rhs += forms[i] @ xsum[j, i]
         new_blocks[j] = np.linalg.solve(lhs, rhs)
     return new_blocks
 
@@ -79,6 +107,9 @@ def _assert_step_matches_the_reference(args):
     step_obj, step_nxt = estimation._step(*args)
     assert step_obj.hex() == obj.hex()
     assert np.array_equal(step_nxt, nxt)
+    if forms is not None:
+        whole = _whole_sample_normal_equations(points, weights, inv_perms[best], n, d, forms)
+        assert np.allclose(step_nxt, whole.reshape(-1), rtol=1e-12, atol=0)
 
 
 def test_mospa_zero_when_samples_equal_estimate():
@@ -274,6 +305,27 @@ def test_mmospa_memory_is_bounded_by_the_chunk():
     assert res.empirical_mospa == pytest.approx(mospa_mc(emp, res.estimate).value, rel=1e-9)
 
 
+def test_weighted_step_memory_is_bounded_by_the_chunk():
+    # m = 10^6: a whole-sample alignment and n^2 masks over every sample
+    # peaked at 44.6 MB
+    sc = parse_scenario(WEIGHTED_SCENARIO)
+    emp = gm_sample(sc.mixture, sc.seed, 1_000_000)
+    n, d = sc.n_targets, sc.state_dim
+    x_hat = StackedState(n, d, [-2.0, 1.0, 2.0, -1.0])
+    args = (emp.points, emp.weights, x_hat.data[_atom_index_matrix(n, d)],
+            np.argsort(permutation_array(n), axis=1), n, d, sc.q_matrix,
+            target_block_forms(sc.q_matrix, n, d))
+    tracemalloc.start()
+    try:
+        obj, nxt = estimation._step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert obj == pytest.approx(mospa_mc(emp, x_hat, q=sc.q_matrix).value, rel=1e-9)
+    assert np.all(np.isfinite(nxt))
+
+
 def test_mmospa_weighted_run_is_pinned():
     # bits recorded before the objective and the alignment shared one sweep
     rng = np.random.default_rng(70)
@@ -303,6 +355,23 @@ def test_mmospa_unweighted_multi_block_run_is_pinned():
     assert (res.iterations, res.converged, res.restarts_used) == (2, True, 16)
     assert res.empirical_mospa.hex() == "0x1.5e4620496f9f1p+0"
     assert [v.hex() for v in res.descent_trace] == ["0x1.5e4620496f9f1p+0", "0x1.5e4620496f9f1p+0"]
+
+
+def test_mmospa_weighted_multi_block_run_is_pinned():
+    # the weighted scenario at m = 150 001: two full sample blocks and a
+    # partial third, whose normal-equation sums are taken block by block
+    sc = parse_scenario(WEIGHTED_SCENARIO)
+    emp = gm_sample(sc.mixture, sc.seed, 150_001)
+    assert -(-len(emp) // estimation._CHUNK) == 3
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=3, restarts=4), q=sc.q_matrix)
+    assert [v.hex() for v in res.estimate.data] == [
+        "-0x1.eae02f937ca30p+0", "0x1.084358fe07944p+0",
+        "0x1.b86a3c7ac0850p+0", "-0x1.1dbcb8304fc2cp+0"]
+    assert (res.iterations, res.converged, res.restarts_used) == (4, True, 4)
+    assert res.empirical_mospa.hex() == "0x1.fb471e6ebb1f6p+1"
+    assert [v.hex() for v in res.descent_trace] == [
+        "0x1.fb515cabf9b32p+1", "0x1.fb471ee9cbd47p+1",
+        "0x1.fb471e6ebb1f6p+1", "0x1.fb471e6ebb1f6p+1"]
 
 
 def _record_starts(monkeypatch):
