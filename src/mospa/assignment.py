@@ -60,8 +60,6 @@ def _as_cost_matrix(cost) -> np.ndarray:
 def _completion_value(c: np.ndarray, rows: list[int], cols: list[int]) -> float:
     """Optimal assignment value on the (rows x cols) submatrix."""
     k = len(rows)
-    if k == 0:
-        return 0.0
     if k == 1:
         return float(c[rows[0], cols[0]])
     if k == 2:

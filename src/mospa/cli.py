@@ -31,7 +31,7 @@ from .scenarios import Scenario, ScenarioParseError, parse_scenario, scenario_di
 from .states import (
     StackedState,
     batch_permutation_ranks,
-    permutation_enumerate,
+    permutation_array,
     permuted_atoms,
 )
 from .transport import verify_mospa_wasserstein, w2_squared
@@ -157,9 +157,8 @@ def _cmd_masses(args, scenario, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
     q = _resolve_q(args, scenario)
     masses = estimate_region_masses(_sample(scenario), x_hat, q)
-    perms = permutation_enumerate(scenario.n_targets)
-    rows = [(k, "|".join(str(v) for v in perms[k].mapping), masses[k])
-            for k in range(len(masses))]
+    perms = permutation_array(scenario.n_targets).tolist()
+    rows = [(k, "|".join(map(str, perms[k])), masses[k]) for k in range(len(masses))]
     _write_csv(out, _comment("masses", digest, scenario),
                ["region_rank", "permutation", "mass"], rows)
     return 0, {"n_regions": len(masses)}

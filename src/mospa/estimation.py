@@ -196,8 +196,6 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     returned estimate is canonicalized by sorting target blocks
     lexicographically; the objective is invariant under that reorder.
     """
-    if len(samples) == 0:
-        raise ValueError("samples must be nonempty")
     cfg = config or MmospaConfig()
     n, d = samples.n_targets, samples.state_dim
     if init is not None and (init.n_targets, init.state_dim) != (n, d):

@@ -169,9 +169,8 @@ def gm_sample(mixture: GaussianMixture, seed: int, m: int) -> EmpiricalMeasure:
     idx = np.arange(m, dtype=np.uint64)
     u_sel = rng.uniforms(seed, idx, 0)
     thresholds = np.cumsum(mixture.weights)
-    thresholds[-1] = 1.0  # guard against cumulative rounding
+    thresholds[-1] = 1.0  # uniforms are <= 1.0: each finds a component despite rounding
     comp = np.searchsorted(thresholds, u_sel, side="left")
-    comp = np.minimum(comp, mixture.n_components - 1)
 
     z = rng.normals(seed, idx, mixture.dim)
     points = np.empty((m, mixture.dim))

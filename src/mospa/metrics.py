@@ -16,7 +16,6 @@ import numpy as np
 
 from .assignment import batch_optimal_permutations, optimal_permutation
 from .errors import DegenerateEstimateWarning
-from .quadform import validate_spd
 from .states import Permutation, StackedState, batch_permutation_ranks
 
 
@@ -41,7 +40,6 @@ def gospa(x: StackedState, x_hat: StackedState, q) -> float:
     """
     if q is None:
         raise ValueError("gospa requires a weight matrix; use ospa for Q = I")
-    validate_spd(q, x.dim)
     return optimal_permutation(x, x_hat, q)[1]
 
 

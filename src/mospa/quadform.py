@@ -95,15 +95,16 @@ def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.nda
     Each chunk's differences are one (rows, k * dim) copy of the points, with
     every target's columns repeated, minus the flattened targets: the same
     C-ordered (rows, k, dim) tensor and subtractions as a broadcast, in one
-    in-place pass.  A sum of squares is never negative, so only the weighted
-    costs are clamped at 0.
+    in-place pass; with Q the chunk also holds its weighted copy, so it is
+    sized for both.  A sum of squares is never negative, so only the
+    weighted costs are clamped at 0.
     """
     m = points.shape[0]
     k, dim = targets.shape
     out = np.empty((m, k))
     cols = np.tile(np.arange(dim), k)
     flat = targets.reshape(-1)
-    for lo, hi in row_chunks(m, k * dim):
+    for lo, hi in row_chunks(m, k * dim if q is None else 2 * k * dim):
         diff = points[lo:hi].take(cols, axis=1)
         diff -= flat
         diff = diff.reshape(hi - lo, k, dim)

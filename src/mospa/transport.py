@@ -417,15 +417,17 @@ def _resolve_tree_flows(adj, a, b, m, k):
     return out
 
 
-def _check_pair(sources: EmpiricalMeasure, sinks: DiscreteMeasure):
+def _check_pair(sources: EmpiricalMeasure, sinks: DiscreteMeasure, q):
+    """Entry check of solve_transport and coupling_cost (ValueError): equal
+    dims, sources x sinks within _MAX_COST_ENTRIES, and Q, when given,
+    symmetric positive definite.  The measures check their own weights."""
     if sources.dim != sinks.dim:
         raise ValueError(f"source dim {sources.dim} != sink dim {sinks.dim}")
     if len(sources) * len(sinks) > _MAX_COST_ENTRIES:
         raise ValueError(f"{len(sources)} sources x {len(sinks)} sinks exceed the dense "
                          f"transport cap of {_MAX_COST_ENTRIES} cost entries")
-    for name, s in (("source", sources.weights.sum()), ("sink", sinks.masses.sum())):
-        if abs(s - 1.0) > _MARGINAL_TOL:
-            raise ValueError(f"{name} marginal sums to {s!r}, expected 1 within 1e-9")
+    if q is not None:
+        validate_spd(q, sources.dim)
 
 
 def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
@@ -435,15 +437,12 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
     Zero-mass sink atoms are dropped before the simplex runs (degenerate
     sinks break pivoting); their columns come back as zeros in the returned
     plan and their potentials as NaN.  Raises ValueError, before any dense
-    array is built, when sources x sinks exceed _MAX_COST_ENTRIES, and
-    RuntimeError when the dual gap certificate fails.
+    array is built, on what _check_pair refuses (such as sources x sinks
+    above _MAX_COST_ENTRIES), and RuntimeError when the dual gap
+    certificate fails.
     """
-    _check_pair(sources, sinks)
-    if q is not None:
-        validate_spd(q, sources.dim)
+    _check_pair(sources, sinks, q)
     keep = sinks.masses > 0.0
-    if not np.any(keep):
-        raise ValueError("sink measure has no positive mass")
     atoms = sinks.atoms[keep]
     b = sinks.masses[keep]
     cost = point_cost_matrix(sources.points, atoms, q)
@@ -467,8 +466,11 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
 
 def coupling_cost(plan: TransportPlan, sources: EmpiricalMeasure,
                   sinks: DiscreteMeasure, q=None) -> float:
-    """Transport cost of one feasible plan; at least the optimal cost."""
-    _check_pair(sources, sinks)
+    """Transport cost of one feasible plan; at least the optimal cost.
+
+    Raises ValueError on what solve_transport refuses (_check_pair) and on a
+    plan whose shape or marginals do not match the measures."""
+    _check_pair(sources, sinks, q)
     flows = plan.flows
     if flows.shape != (len(sources), len(sinks)):
         raise ValueError(f"plan shape {flows.shape} does not match the measures")

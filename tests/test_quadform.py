@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import block_diagonal_q
-from mospa.quadform import batch_block_cost_matrices, point_cost_matrix, row_chunks
+from mospa.quadform import (
+    _CHUNK_BYTES,
+    batch_block_cost_matrices,
+    point_cost_matrix,
+    row_chunks,
+)
 
 
 def _broadcast_costs(points, targets, q=None):
@@ -66,6 +71,22 @@ def test_point_cost_matrix_memory_is_bounded_by_the_chunk():
     diff = points[:5, None, :] - targets[None]
     assert np.allclose(out[:5], np.einsum("mkd,de,mke->mk", diff, q, diff),
                        rtol=1e-13, atol=0)
+
+
+def test_weighted_point_cost_matrix_sizes_its_chunks_for_the_weighted_copy():
+    # with Q a chunk holds the differences and their weighted copy; chunks
+    # sized for the differences alone peaked at 3 budgets above the output
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(400_000, 2))
+    targets = rng.normal(size=(4, 2))
+    q = block_diagonal_q(rng, 1, 2)
+    tracemalloc.start()
+    try:
+        out = point_cost_matrix(points, targets, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 * _CHUNK_BYTES
 
 
 def _broadcast_block_costs(points, y_blocks, forms=None):

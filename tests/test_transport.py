@@ -245,6 +245,21 @@ def test_coupling_cost_rejects_infeasible_plan():
         coupling_cost(bad, emp, skewed)
 
 
+@pytest.mark.parametrize("q", [
+    pytest.param([[1.0, 0.5], [0.0, 1.0]], id="asymmetric"),
+    pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
+    pytest.param([[-1.0, 0.0], [0.0, -1.0]], id="negative-definite"),
+])
+def test_both_transport_entry_points_refuse_a_bad_q(q):
+    emp = EmpiricalMeasure(1, 2, [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    nu = DiscreteMeasure(1, 2, [[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])
+    plan = TransportPlan(np.outer(emp.weights, nu.masses), emp.weights, nu.masses)
+    with pytest.raises(ValueError, match="symmetric|positive definite"):
+        coupling_cost(plan, emp, nu, np.array(q))
+    with pytest.raises(ValueError, match="symmetric|positive definite"):
+        solve_transport(emp, nu, np.array(q))
+
+
 def test_transport_marginal_validation():
     emp = EmpiricalMeasure(1, 1, [[0.0]], [1.0])
     with pytest.raises(ValueError):
