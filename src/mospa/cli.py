@@ -109,9 +109,8 @@ def _comment(name: str, digest: str, scenario: Scenario) -> str:
     return f"scenario_digest={digest} seed={scenario.seed} subcommand={name}"
 
 
-def _cmd_distance_table(args, scenario, digest, out: Path):
+def _cmd_distance_table(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
     if args.subcommand == "gospa" and q is None:
         raise ValueError("gospa requires --q scenario (use ospa for the identity weight)")
     samples = _sample(scenario)
@@ -124,9 +123,8 @@ def _cmd_distance_table(args, scenario, digest, out: Path):
     return 0, {"mean_distance": float(np.mean(costs))}
 
 
-def _cmd_mospa(args, scenario, digest, out: Path):
+def _cmd_mospa(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
     est = mospa_mc(_sample(scenario), x_hat, q)
     _write_csv(out, _comment("mospa", digest, scenario),
                ["value", "std_error", "sample_count"],
@@ -134,8 +132,7 @@ def _cmd_mospa(args, scenario, digest, out: Path):
     return 0, {"value": est.value, "std_error": est.std_error}
 
 
-def _cmd_mmospa(args, scenario, digest, out: Path):
-    q = _resolve_q(args, scenario)
+def _cmd_mmospa(args, scenario, q, digest, out: Path):
     init = None
     if args.x_hat is not None:
         init = _parse_x_hat(args, scenario)
@@ -153,9 +150,8 @@ def _cmd_mmospa(args, scenario, digest, out: Path):
     }
 
 
-def _cmd_masses(args, scenario, digest, out: Path):
+def _cmd_masses(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
     masses = estimate_region_masses(_sample(scenario), x_hat, q)
     perms = permutation_array(scenario.n_targets).tolist()
     rows = [(k, "|".join(map(str, perms[k])), masses[k]) for k in range(len(masses))]
@@ -164,9 +160,8 @@ def _cmd_masses(args, scenario, digest, out: Path):
     return 0, {"n_regions": len(masses)}
 
 
-def _cmd_wasserstein(args, scenario, digest, out: Path):
+def _cmd_wasserstein(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
     samples = _sample(scenario)
     masses = estimate_region_masses(samples, x_hat, q)
     nu = build_region_measure(x_hat, masses)
@@ -177,20 +172,17 @@ def _cmd_wasserstein(args, scenario, digest, out: Path):
     return 0, {"w2_squared": value}
 
 
-def _cmd_verify(args, scenario, digest, out: Path):
+def _cmd_verify(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
-    report = verify_mospa_wasserstein(scenario, x_hat, mode=args.mode,
-                                      m=scenario.sample_count, q=q)
+    report = verify_mospa_wasserstein(scenario, x_hat, mode=args.mode, q=q)
     row = {name: getattr(report, name) for name in (
         "mospa_value", "w2_squared", "abs_diff", "rel_diff", "mode", "tolerance", "passed")}
     code = _write_report(out, "verify", digest, scenario, row, report.passed)
     return code, {"passed": report.passed}
 
 
-def _cmd_prop1(args, scenario, digest, out: Path):
+def _cmd_prop1(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
     samples = _sample(scenario)
     agreement = cells_match_regions(x_hat, samples, q)
     code = _write_report(out, "prop1", digest, scenario,
@@ -199,9 +191,8 @@ def _cmd_prop1(args, scenario, digest, out: Path):
     return code, {"agreement": agreement}
 
 
-def _cmd_voronoi(args, scenario, digest, out: Path):
+def _cmd_voronoi(args, scenario, q, digest, out: Path):
     x_hat = _parse_x_hat(args, scenario)
-    q = _resolve_q(args, scenario)
     atoms = permuted_atoms(x_hat)
     sites = WeightedSites(atoms, np.zeros(atoms.shape[0]))
     segments = export_diagram_2d(sites, q, bbox=args.bbox)
@@ -274,8 +265,9 @@ def run(argv=None) -> int:
     try:
         scenario = parse_scenario(args.scenario).with_overrides(
             seed=args.seed, sample_count=args.samples)
+        q = _resolve_q(args, scenario)
         digest = scenario_digest(scenario)
-        code, payload = _HANDLERS[args.subcommand](args, scenario, digest, args.output)
+        code, payload = _HANDLERS[args.subcommand](args, scenario, q, digest, args.output)
     except (ScenarioParseError, ValueError, np.linalg.LinAlgError, OSError,
             MemoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

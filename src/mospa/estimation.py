@@ -209,7 +209,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     total = float(np.sum(weights))
     mean = _weighted_column_sum(weights, points) / total
     centered_sq = _weighted_column_sum(weights, (points - mean) ** 2) / total
-    std = np.sqrt(np.maximum(centered_sq, 0.0))
+    std = np.sqrt(centered_sq)
 
     memo: dict[bytes, tuple[float, np.ndarray]] = {}
     outcomes: list[RestartOutcome] = []

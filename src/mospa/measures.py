@@ -176,8 +176,7 @@ def gm_sample(mixture: GaussianMixture, seed: int, m: int) -> EmpiricalMeasure:
     points = np.empty((m, mixture.dim))
     for c in range(mixture.n_components):
         mask = comp == c
-        if np.any(mask):
-            points[mask] = z[mask] @ mixture._chols[c].T + mixture.means[c]
+        points[mask] = z[mask] @ mixture._chols[c].T + mixture.means[c]
     return EmpiricalMeasure(mixture.n_targets, mixture.state_dim, points, np.full(m, 1.0 / m))
 
 

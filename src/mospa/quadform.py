@@ -92,27 +92,27 @@ def row_chunks(m: int, words: int):
 def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
     """(m, k) squared (Q-weighted) Euclidean distances, built over row_chunks.
 
-    Each chunk's differences are one (rows, k * dim) copy of the points, with
-    every target's columns repeated, minus the flattened targets: the same
-    C-ordered (rows, k, dim) tensor and subtractions as a broadcast, in one
-    in-place pass; with Q the chunk also holds its weighted copy, so it is
-    sized for both.  A sum of squares is never negative, so only the
-    weighted costs are clamped at 0.
+    Each chunk's differences are its rows, each repeated k times, minus the
+    targets in place: the same (rows, k, dim) tensor and subtractions as a
+    broadcast.  repeat always returns a fresh C-ordered copy, so the points
+    are never written and the sums run in one order whatever their layout.
+    With Q the chunk also holds its weighted copy, so it is sized for both;
+    both are released before the next chunk is built.  A sum of squares is
+    never negative, so only the weighted costs are clamped at 0.
     """
     m = points.shape[0]
     k, dim = targets.shape
     out = np.empty((m, k))
-    cols = np.tile(np.arange(dim), k)
-    flat = targets.reshape(-1)
     for lo, hi in row_chunks(m, k * dim if q is None else 2 * k * dim):
-        diff = points[lo:hi].take(cols, axis=1)
-        diff -= flat
-        diff = diff.reshape(hi - lo, k, dim)
+        diff = points[lo:hi].repeat(k, axis=0).reshape(hi - lo, k, dim)
+        diff -= targets
         if q is None:
             np.einsum("mkd,mkd->mk", diff, diff, out=out[lo:hi])
         else:
             s = np.einsum("de,mke->mkd", q, diff)
             np.einsum("mkd,mkd->mk", diff, s, out=out[lo:hi])
+            del s
+        del diff
     if q is not None:
         np.maximum(out, 0.0, out=out)
     return out

@@ -227,14 +227,14 @@ def _path_to_root(node, pred, m):
 
 
 def _cycle_nodes(enter_i, enter_j, pred, m):
-    """Node sequence enter_i .. LCA .. (m+enter_j) through the basis tree."""
+    """Node sequence enter_i .. LCA .. (m+enter_j) through the basis tree.
+    Both paths end at the root m, so they always meet."""
     path_a = _path_to_root(enter_i, pred, m)
     path_b = _path_to_root(m + enter_j, pred, m)
     pos = {node: idx for idx, node in enumerate(path_a)}
     for bi, node in enumerate(path_b):
         if node in pos:
             return path_a[: pos[node] + 1] + path_b[:bi][::-1]
-    raise RuntimeError("basis tree has no path between entering endpoints")
 
 
 def _perturbation(a):
@@ -301,18 +301,12 @@ def _transportation_simplex(cost, a, b):
         nodes = _cycle_nodes(ei, ej, pred, m)
         # arcs along the walk alternate -theta, +theta starting at the arc
         # leaving the entering source; the entering arc itself carries +theta
-        cycle_arcs = []
-        signs = []
-        for t in range(len(nodes) - 1):
-            x, y = nodes[t], nodes[t + 1]
-            key = (x, y - m) if x < m else (y, x - m)
-            cycle_arcs.append(arc_pos[key])
-            signs.append(-1.0 if t % 2 == 0 else 1.0)
-        minus = [p for p, s in zip(cycle_arcs, signs) if s < 0]
-        theta_pos = min(minus, key=lambda p: (flows_b[p], p))
+        cycle_arcs = [arc_pos[(x, y - m) if x < m else (y, x - m)]
+                      for x, y in zip(nodes, nodes[1:])]
+        theta_pos = min(cycle_arcs[::2], key=lambda p: (flows_b[p], p))
         theta = flows_b[theta_pos]
-        for p, s in zip(cycle_arcs, signs):
-            flows_b[p] += s * theta
+        flows_b[cycle_arcs[::2]] -= theta
+        flows_b[cycle_arcs[1::2]] += theta
         # swap the leaving arc for the entering one, in place
         li, lj = int(arc_i[theta_pos]), int(arc_j[theta_pos])
         del arc_pos[(li, lj)]

@@ -225,6 +225,20 @@ def test_exit_2_on_solver_error(fault, monkeypatch, tmp_path, capsys):
     assert err.startswith("solver error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["ospa", "gospa", "mospa", "mmospa", "masses",
+                                     "wasserstein", "verify", "prop1", "voronoi"])
+def test_q_scenario_without_q_matrix_exits_1(command, tmp_path, capsys):
+    import mospa.cli as cli
+
+    out = tmp_path / "out.csv"
+    code = cli.run([command, "--scenario", FIG, "--x-hat=-4,3", "--q", "scenario",
+                    "--samples", "20", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "has no q_matrix" in err
+    assert not out.exists()
+
+
 def test_seed_override_changes_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["mospa", "--scenario", FIG, "--x-hat=-4,3", "--samples", "200",

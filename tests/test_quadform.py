@@ -39,8 +39,13 @@ def test_point_cost_matrix_matches_the_broadcast_reference(k, weighted):
         points = rng.normal(size=(m, dim), scale=2.0)
         hits = min(k, m)
         points[:hits] = targets[:hits]  # row i sits on target i
+        points.setflags(write=False)  # the differences are a copy, even at k = 1
         out = point_cost_matrix(points, targets, q)
         assert np.array_equal(out, _broadcast_costs(points, targets, q))
+        # a copy in the points' own layout would sum Fortran-ordered rows
+        # in another order at k = 1 from dim = 3 on
+        fortran = point_cost_matrix(np.asfortranarray(points), targets, q)
+        assert fortran.tobytes() == out.tobytes()
         on_target = out[np.arange(hits), np.arange(hits)]
         assert np.all(on_target == 0.0) and not np.any(np.signbit(on_target))
         if not weighted:
@@ -87,6 +92,21 @@ def test_weighted_point_cost_matrix_sizes_its_chunks_for_the_weighted_copy():
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 2 * _CHUNK_BYTES
+
+
+def test_point_cost_matrix_holds_one_chunk_at_a_time():
+    # the previous chunk's differences, still bound while the next chunk's
+    # copy was built, held the peak at 2 budgets above the output
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(400_000, 2))
+    targets = rng.normal(size=(4, 2))
+    tracemalloc.start()
+    try:
+        out = point_cost_matrix(points, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 1.25 * _CHUNK_BYTES
 
 
 def _broadcast_block_costs(points, y_blocks, forms=None):
