@@ -31,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError
 from .quadform import batch_block_cost_matrices, row_chunks, target_block_forms
 from .states import (
     MAX_TARGETS,
@@ -124,11 +123,7 @@ def brute_force_assignment(cost) -> tuple[Permutation, float]:
     """Exhaustive minimum over all n! permutations (test oracle, n <= 8)."""
     c = _as_cost_matrix(cost)
     n = c.shape[0]
-    if n > MAX_TARGETS:
-        raise CapacityError(
-            f"brute force limited to n <= {MAX_TARGETS} ({MAX_TARGETS}! permutations)"
-        )
-    perms = permutation_array(n)
+    perms = permutation_array(n)  # raises CapacityError above MAX_TARGETS
     totals = c[np.arange(n)[None, :], perms].sum(axis=1)
     best = int(np.argmin(totals))  # first minimum = lexicographically smallest
     return Permutation(tuple(int(v) for v in perms[best])), float(totals[best])

@@ -9,6 +9,12 @@ identical.
 
 Exit codes: 0 success, 1 validation failure (including a request too large
 to allocate), 2 verification or solver failure, 64 usage.
+
+Layout (left out of --help): each subcommand's handler only computes.  It
+returns its CSV header and rows, its stderr summary, and the verdict of a
+one-row report (verify, prop1), or None for a plain table.  `run` alone
+resolves --q and --x-hat, writes every CSV and JSON report, prints the
+summary and picks the exit code.
 """
 
 from __future__ import annotations
@@ -63,26 +69,10 @@ def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _json_sibling(path: Path) -> Path:
-    return path.with_suffix(".json") if path.suffix == ".csv" else Path(str(path) + ".json")
-
-
-def _write_report(out: Path, name: str, digest: str, scenario: Scenario, row: dict,
-                  passed: bool) -> int:
-    """One-row CSV of row plus its JSON sibling; returns the exit code."""
-    _write_csv(out, _comment(name, digest, scenario), list(row), [tuple(row.values())])
-    _write_json(_json_sibling(out), {"scenario_digest": digest, "seed": scenario.seed,
-                                     **row, "passed": passed})
-    return 0 if passed else 2
-
-
-def _parse_x_hat(args, scenario: Scenario) -> StackedState:
+def _parse_x_hat(args, scenario: Scenario) -> StackedState | None:
     if args.x_hat is None:
+        if args.subcommand == "mmospa":
+            return None  # the descent starts from the per-target mean
         raise ValueError(f"subcommand {args.subcommand} requires --x-hat")
     try:
         values = [float(tok) for tok in args.x_hat.split(",")]
@@ -105,12 +95,7 @@ def _sample(scenario: Scenario):
     return gm_sample(scenario.mixture, scenario.seed, scenario.sample_count)
 
 
-def _comment(name: str, digest: str, scenario: Scenario) -> str:
-    return f"scenario_digest={digest} seed={scenario.seed} subcommand={name}"
-
-
-def _cmd_distance_table(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_distance_table(args, scenario, x_hat, q):
     if args.subcommand == "gospa" and q is None:
         raise ValueError("gospa requires --q scenario (use ospa for the identity weight)")
     samples = _sample(scenario)
@@ -118,101 +103,68 @@ def _cmd_distance_table(args, scenario, q, digest, out: Path):
     mappings, costs = batch_optimal_permutations(samples.points, x_hat, q)
     ranks = batch_permutation_ranks(mappings)
     rows = ((i, costs[i], int(ranks[i])) for i in range(len(samples)))
-    _write_csv(out, _comment(args.subcommand, digest, scenario),
-               ["sample_index", "distance", "region_rank"], rows)
-    return 0, {"mean_distance": float(np.mean(costs))}
+    return (["sample_index", "distance", "region_rank"], rows,
+            {"mean_distance": float(np.mean(costs))}, None)
 
 
-def _cmd_mospa(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_mospa(args, scenario, x_hat, q):
     est = mospa_mc(_sample(scenario), x_hat, q)
-    _write_csv(out, _comment("mospa", digest, scenario),
-               ["value", "std_error", "sample_count"],
-               [(est.value, est.std_error, est.sample_count)])
-    return 0, {"value": est.value, "std_error": est.std_error}
+    return (["value", "std_error", "sample_count"],
+            [(est.value, est.std_error, est.sample_count)],
+            {"value": est.value, "std_error": est.std_error}, None)
 
 
-def _cmd_mmospa(args, scenario, q, digest, out: Path):
-    init = None
-    if args.x_hat is not None:
-        init = _parse_x_hat(args, scenario)
+def _cmd_mmospa(args, scenario, x_hat, q):
     samples = _sample(scenario)
     cfg = MmospaConfig(seed=rng.derive_seed(scenario.seed, 11))
-    result = mmospa_estimate(samples, init=init, config=cfg, q=q)
+    result = mmospa_estimate(samples, init=x_hat, config=cfg, q=q)
     blocks = result.estimate.blocks()
     header = ["target_index"] + [f"coord_{c}" for c in range(scenario.state_dim)]
     rows = [(i, *blocks[i]) for i in range(scenario.n_targets)]
-    _write_csv(out, _comment("mmospa", digest, scenario), header, rows)
-    return 0, {
+    return header, rows, {
         "empirical_mospa": result.empirical_mospa,
         "iterations": result.iterations,
         "converged": result.converged,
-    }
+    }, None
 
 
-def _cmd_masses(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_masses(args, scenario, x_hat, q):
     masses = estimate_region_masses(_sample(scenario), x_hat, q)
     perms = permutation_array(scenario.n_targets).tolist()
     rows = [(k, "|".join(map(str, perms[k])), masses[k]) for k in range(len(masses))]
-    _write_csv(out, _comment("masses", digest, scenario),
-               ["region_rank", "permutation", "mass"], rows)
-    return 0, {"n_regions": len(masses)}
+    return ["region_rank", "permutation", "mass"], rows, {"n_regions": len(masses)}, None
 
 
-def _cmd_wasserstein(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_wasserstein(args, scenario, x_hat, q):
     samples = _sample(scenario)
     masses = estimate_region_masses(samples, x_hat, q)
     nu = build_region_measure(x_hat, masses)
     value = w2_squared(samples, nu, q)
-    _write_csv(out, _comment("wasserstein", digest, scenario),
-               ["w2_squared", "n_sources", "n_atoms"],
-               [(value, len(samples), len(nu))])
-    return 0, {"w2_squared": value}
+    return (["w2_squared", "n_sources", "n_atoms"], [(value, len(samples), len(nu))],
+            {"w2_squared": value}, None)
 
 
-def _cmd_verify(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_verify(args, scenario, x_hat, q):
     report = verify_mospa_wasserstein(scenario, x_hat, mode=args.mode, q=q)
-    row = {name: getattr(report, name) for name in (
-        "mospa_value", "w2_squared", "abs_diff", "rel_diff", "mode", "tolerance", "passed")}
-    code = _write_report(out, "verify", digest, scenario, row, report.passed)
-    return code, {"passed": report.passed}
+    header = ["mospa_value", "w2_squared", "abs_diff", "rel_diff", "mode", "tolerance",
+              "passed"]
+    return (header, [tuple(getattr(report, name) for name in header)],
+            {"passed": report.passed}, report.passed)
 
 
-def _cmd_prop1(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_prop1(args, scenario, x_hat, q):
     samples = _sample(scenario)
     agreement = cells_match_regions(x_hat, samples, q)
-    code = _write_report(out, "prop1", digest, scenario,
-                         {"agreement": agreement, "sample_count": len(samples)},
-                         agreement == 1.0)
-    return code, {"agreement": agreement}
+    return (["agreement", "sample_count"], [(agreement, len(samples))],
+            {"agreement": agreement}, agreement == 1.0)
 
 
-def _cmd_voronoi(args, scenario, q, digest, out: Path):
-    x_hat = _parse_x_hat(args, scenario)
+def _cmd_voronoi(args, scenario, x_hat, q):
     atoms = permuted_atoms(x_hat)
     sites = WeightedSites(atoms, np.zeros(atoms.shape[0]))
     segments = export_diagram_2d(sites, q, bbox=args.bbox)
     rows = [(i, j, a[0], a[1], b[0], b[1]) for (i, j), (a, b) in segments]
-    _write_csv(out, _comment("voronoi", digest, scenario),
-               ["site_i", "site_j", "x0", "y0", "x1", "y1"], rows)
-    return 0, {"n_segments": len(rows)}
-
-
-_HANDLERS = {
-    "ospa": _cmd_distance_table,
-    "gospa": _cmd_distance_table,
-    "mospa": _cmd_mospa,
-    "mmospa": _cmd_mmospa,
-    "masses": _cmd_masses,
-    "wasserstein": _cmd_wasserstein,
-    "verify": _cmd_verify,
-    "prop1": _cmd_prop1,
-    "voronoi": _cmd_voronoi,
-}
+    return ["site_i", "site_j", "x0", "y0", "x1", "y1"], rows, {"n_segments": len(rows)}, None
 
 
 def _bbox(text: str):
@@ -223,21 +175,23 @@ def _bbox(text: str):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="mospa", description=__doc__,
+    parser = _Parser(prog="mospa", description=__doc__.partition("\n\nLayout")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for name, text in (
-        ("ospa", "per-sample label-free squared distances to --x-hat"),
-        ("gospa", "per-sample Q-weighted label-free squared distances"),
-        ("mospa", "Monte Carlo mean label-free squared distance"),
-        ("mmospa", "alternating-descent minimum-MOSPA estimate"),
-        ("masses", "sample mass captured by each permutation region"),
-        ("wasserstein", "optimal transport cost to the induced atom measure"),
-        ("verify", "MOSPA versus squared Wasserstein identity check"),
-        ("prop1", "power-cell versus region classifier agreement"),
-        ("voronoi", "2-D power diagram boundary segments"),
+    for name, text, handler in (
+        ("ospa", "per-sample label-free squared distances to --x-hat", _cmd_distance_table),
+        ("gospa", "per-sample Q-weighted label-free squared distances", _cmd_distance_table),
+        ("mospa", "Monte Carlo mean label-free squared distance", _cmd_mospa),
+        ("mmospa", "alternating-descent minimum-MOSPA estimate", _cmd_mmospa),
+        ("masses", "sample mass captured by each permutation region", _cmd_masses),
+        ("wasserstein", "optimal transport cost to the induced atom measure",
+         _cmd_wasserstein),
+        ("verify", "MOSPA versus squared Wasserstein identity check", _cmd_verify),
+        ("prop1", "power-cell versus region classifier agreement", _cmd_prop1),
+        ("voronoi", "2-D power diagram boundary segments", _cmd_voronoi),
     ):
         p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--x-hat", help="comma-separated stacked estimate")
         p.add_argument("--samples", type=int, help="override scenario sample_count")
@@ -262,12 +216,22 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     started = time.perf_counter()
+    out = args.output
     try:
         scenario = parse_scenario(args.scenario).with_overrides(
             seed=args.seed, sample_count=args.samples)
         q = _resolve_q(args, scenario)
+        x_hat = _parse_x_hat(args, scenario)
         digest = scenario_digest(scenario)
-        code, payload = _HANDLERS[args.subcommand](args, scenario, q, digest, args.output)
+        header, rows, summary, passed = args.handler(args, scenario, x_hat, q)
+        _write_csv(out, f"scenario_digest={digest} seed={scenario.seed} "
+                        f"subcommand={args.subcommand}", header, rows)
+        if passed is not None:  # a one-row report: its JSON sibling too
+            report = {"scenario_digest": digest, "seed": scenario.seed,
+                      **dict(zip(header, rows[0])), "passed": passed}
+            sibling = out.with_suffix(".json") if out.suffix == ".csv" else Path(f"{out}.json")
+            sibling.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
+                               encoding="utf-8")
     except (ScenarioParseError, ValueError, np.linalg.LinAlgError, OSError,
             MemoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -275,11 +239,11 @@ def run(argv=None) -> int:
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    summary = " ".join(f"{k}={v}" for k, v in payload.items())
-    print(f"{args.subcommand}: wrote {args.output} in "
+    print(f"{args.subcommand}: wrote {out} in "
           f"{(time.perf_counter() - started) * 1e3:.1f} ms "
-          f"[digest {digest[:12]} seed {scenario.seed}] {summary}", file=sys.stderr)
-    return code
+          f"[digest {digest[:12]} seed {scenario.seed}] "
+          + " ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
+    return 2 if passed is False else 0
 
 
 def main() -> None:

@@ -116,12 +116,14 @@ def scalar_sort_oracle(samples: EmpiricalMeasure) -> StackedState:
     return StackedState(samples.n_targets, 1, means)
 
 
-def _weighted_column_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i w[i] * rows[i], accumulated over fixed-size chunks in index order."""
+def _weighted_column_sum(w: np.ndarray, rows: np.ndarray, center=None) -> np.ndarray:
+    """sum_i w[i] * rows[i], or of (rows[i] - center) ** 2 when center is
+    given, accumulated over fixed-size chunks in index order."""
     acc = np.zeros(rows.shape[1:])
     for lo in range(0, len(w), _CHUNK):
         hi = min(lo + _CHUNK, len(w))
-        acc += np.einsum("m,m...->...", w[lo:hi], rows[lo:hi])
+        block = rows[lo:hi] if center is None else (rows[lo:hi] - center) ** 2
+        acc += np.einsum("m,m...->...", w[lo:hi], block)
     return acc
 
 
@@ -208,7 +210,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
 
     total = float(np.sum(weights))
     mean = _weighted_column_sum(weights, points) / total
-    centered_sq = _weighted_column_sum(weights, (points - mean) ** 2) / total
+    centered_sq = _weighted_column_sum(weights, points, center=mean) / total
     std = np.sqrt(centered_sq)
 
     memo: dict[bytes, tuple[float, np.ndarray]] = {}

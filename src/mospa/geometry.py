@@ -168,8 +168,8 @@ def export_diagram_2d(sites: WeightedSites, q=None, bbox=(-10.0, 10.0)):
     if q is not None:
         q = validate_spd(q, 2)
     lo, hi = float(bbox[0]), float(bbox[1])
-    if not lo < hi:
-        raise ValueError("bbox must satisfy lo < hi")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("bbox must be finite with lo < hi")
     n = len(sites)
     segments = []
     for i in range(n):

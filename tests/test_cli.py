@@ -64,6 +64,19 @@ def test_voronoi_subcommand_emits_diagonal(tmp_path):
     assert sorted([tuple(vals[:2]), tuple(vals[2:])]) == [(-10.0, -10.0), (10.0, 10.0)]
 
 
+@pytest.mark.parametrize("bbox", ["-inf,inf", "-10,inf"])
+def test_voronoi_non_finite_bbox_exits_1(bbox, tmp_path, capsys):
+    import mospa.cli as cli
+
+    out = tmp_path / "vor.csv"
+    code = cli.run(["voronoi", "--scenario", FIG, "--x-hat=-4,3", f"--bbox={bbox}",
+                    "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "finite" in err
+    assert not out.exists()
+
+
 def test_masses_subcommand_sums_to_one(tmp_path):
     out = tmp_path / "masses.csv"
     res = run_cli(["masses", "--scenario", FIG, "--x-hat=-4,3", "--samples", "4000",
@@ -126,6 +139,54 @@ def test_wasserstein_matches_mospa(tmp_path):
              "--output", str(m_out)])
     value = float(m_out.read_text().splitlines()[2].split(",")[0])
     assert w2 == pytest.approx(value, rel=1e-8)
+
+
+# Each subcommand's scenario and flags, and the CSV header README documents.
+_CONTRACT = {
+    "ospa": ([FIG, "--x-hat=-4,3"], "sample_index,distance,region_rank"),
+    "gospa": ([WEIGHTED, "--q", "scenario", "--x-hat=-2,1,2,-1"],
+              "sample_index,distance,region_rank"),
+    "mospa": ([FIG, "--x-hat=-4,3"], "value,std_error,sample_count"),
+    "mmospa": ([WEIGHTED, "--q", "scenario"], "target_index,coord_0,coord_1"),
+    "masses": ([FIG, "--x-hat=-4,3"], "region_rank,permutation,mass"),
+    "wasserstein": ([FIG, "--x-hat=-4,3"], "w2_squared,n_sources,n_atoms"),
+    "verify": ([FIG, "--x-hat=-4,3"],
+               "mospa_value,w2_squared,abs_diff,rel_diff,mode,tolerance,passed"),
+    "prop1": ([FIG, "--x-hat=-4,3"], "agreement,sample_count"),
+    "voronoi": ([FIG, "--x-hat=-4,3"], "site_i,site_j,x0,y0,x1,y1"),
+}
+
+
+def _cell(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text  # a string column, such as verify's mode
+
+
+@pytest.mark.parametrize("command", list(_CONTRACT))
+def test_output_contract(command, tmp_path):
+    import mospa.cli as cli
+    from mospa import scenario_digest
+
+    (path, *flags), header = _CONTRACT[command]
+    out = tmp_path / "out.csv"
+    assert cli.run([command, "--scenario", path, *flags, "--samples", "300", "--seed", "5",
+                    "--output", str(out)]) == 0
+    scenario = parse_scenario(path).with_overrides(seed=5, sample_count=300)
+    lines = out.read_text().splitlines()
+    assert lines[0] == (f"# scenario_digest={scenario_digest(scenario)} seed=5 "
+                        f"subcommand={command}")
+    assert lines[1] == header
+    if command not in ("verify", "prop1"):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+        return
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+    (row,) = lines[2:]
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report == {**{k: _cell(v) for k, v in zip(header.split(","), row.split(","))},
+                      "scenario_digest": scenario_digest(scenario), "seed": 5,
+                      "passed": True}
 
 
 def test_exit_codes(tmp_path):

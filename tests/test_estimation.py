@@ -293,16 +293,24 @@ def test_step_matches_the_two_pass_reference_over_full_blocks(weighted):
 
 
 def test_mmospa_memory_is_bounded_by_the_chunk():
-    # n = 6: 720 atoms, so a sweep of 65536-row cost chunks peaked at 124 MB
-    emp = gm_sample(random_mixture(np.random.default_rng(91), 6, 1, 2), seed=3, m=20000)
-    tracemalloc.start()
-    try:
-        res = mmospa_estimate(emp, config=MmospaConfig(restarts=1, max_iters=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
-    assert res.empirical_mospa == pytest.approx(mospa_mc(emp, res.estimate).value, rel=1e-9)
+    sc = parse_scenario(README_SCENARIO)
+    for emp, config, bound in (
+        # n = 6: 720 atoms, so a sweep of 65536-row cost chunks peaked at 124 MB
+        (gm_sample(random_mixture(np.random.default_rng(91), 6, 1, 2), seed=3, m=20000),
+         MmospaConfig(restarts=1, max_iters=3), 40e6),
+        # m = 10^6: the restart spread squared every sample at once, 16.1 MB
+        (gm_sample(sc.mixture, sc.seed, 1_000_000), MmospaConfig(restarts=1, max_iters=1),
+         10e6),
+    ):
+        tracemalloc.start()
+        try:
+            res = mmospa_estimate(emp, config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert res.empirical_mospa == pytest.approx(mospa_mc(emp, res.estimate).value,
+                                                    rel=1e-9)
 
 
 def test_weighted_step_memory_is_bounded_by_the_chunk():

@@ -209,6 +209,14 @@ def test_export_single_site_is_empty():
     assert export_diagram_2d(sites, bbox=(-5.0, 5.0)) == []
 
 
+@pytest.mark.parametrize("bbox", [(-np.inf, np.inf), (-10.0, np.inf), (np.nan, 10.0),
+                                  (5.0, -5.0)])
+def test_export_rejects_a_non_finite_or_empty_box(bbox):
+    # an infinite box used to return no segment at all
+    with pytest.raises(ValueError, match="bbox must be finite with lo < hi"):
+        export_diagram_2d(FIG_SITES, bbox=bbox)
+
+
 def test_export_rejects_other_dimensions():
     sites = WeightedSites([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
