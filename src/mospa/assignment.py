@@ -129,7 +129,9 @@ def brute_force_assignment(cost) -> tuple[Permutation, float]:
     return Permutation(tuple(int(v) for v in perms[best])), float(totals[best])
 
 
-def _check_compatible(x: StackedState, x_hat: StackedState) -> None:
+def _check_compatible(x, x_hat: StackedState) -> None:
+    """ValueError unless x (a state or a sample measure) has x_hat's targets
+    and state dimension."""
     if (x.n_targets, x.state_dim) != (x_hat.n_targets, x_hat.state_dim):
         raise ValueError(
             f"state shapes differ: ({x.n_targets},{x.state_dim}) vs "

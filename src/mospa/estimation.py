@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .assignment import batch_optimal_permutations
+from .assignment import _check_compatible, batch_optimal_permutations
 from .measures import EmpiricalMeasure
 from .quadform import point_cost_matrix, row_chunks, target_block_forms
 from .states import StackedState, _atom_index_matrix, permutation_array
@@ -87,8 +87,7 @@ def mospa_mc(samples: EmpiricalMeasure, x_hat: StackedState, q=None) -> MospaEst
     distances scaled by sqrt(sum of squared weights); for uniform weights this
     is s/sqrt(m).
     """
-    if (samples.n_targets, samples.state_dim) != (x_hat.n_targets, x_hat.state_dim):
-        raise ValueError("sample and estimate shapes differ")
+    _check_compatible(samples, x_hat)
     _, costs = batch_optimal_permutations(samples.points, x_hat, q, want_mappings=False)
     w = samples.weights
     value = float(np.sum(w * costs))

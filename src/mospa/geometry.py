@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assignment import _check_compatible
 from .measures import EmpiricalMeasure
 from .metrics import batch_region_ranks
 from .quadform import point_cost_matrix, row_chunks, validate_spd
@@ -118,6 +119,7 @@ def cells_match_regions(x_hat: StackedState, samples: EmpiricalMeasure, q=None,
     unweighted costs) are excluded from the fraction; with equal weights the
     remaining agreement is expected to be exactly 1.0.
     """
+    _check_compatible(samples, x_hat)
     atoms = permuted_atoms(x_hat)
     if site_weights is None:
         site_weights = np.zeros(atoms.shape[0])
@@ -139,29 +141,13 @@ def cells_match_regions(x_hat: StackedState, samples: EmpiricalMeasure, q=None,
     return float(np.mean(cell[keep] == region))
 
 
-def _bbox_interval(p0, direction, lo, hi):
-    """Parameter range of p0 + t*direction inside the square [lo, hi]^2."""
-    t_lo, t_hi = -np.inf, np.inf
-    for axis in range(2):
-        d = direction[axis]
-        if d == 0.0:
-            if not lo <= p0[axis] <= hi:
-                return None
-            continue
-        a = (lo - p0[axis]) / d
-        b = (hi - p0[axis]) / d
-        t_lo = max(t_lo, min(a, b))
-        t_hi = min(t_hi, max(a, b))
-    if not np.isfinite(t_lo) or not np.isfinite(t_hi) or t_hi <= t_lo:
-        return None
-    return t_lo, t_hi
-
-
 def export_diagram_2d(sites: WeightedSites, q=None, bbox=(-10.0, 10.0)):
     """Boundary segments of the 2-D power diagram clipped to a square box.
 
     Returns a list of ((i, j), (endpoint_a, endpoint_b)) for every site pair
-    whose bisector actually bounds the two cells inside the box.
+    whose bisector actually bounds the two cells inside the box.  Each
+    bisector line is clipped by half-planes normal . x <= offset: the box's
+    four sides, then the sides where site i beats every other site k.
     """
     if sites.dim != 2:
         raise ValueError(f"diagram export requires dimension 2, got {sites.dim}")
@@ -170,43 +156,33 @@ def export_diagram_2d(sites: WeightedSites, q=None, bbox=(-10.0, 10.0)):
     lo, hi = float(bbox[0]), float(bbox[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("bbox must be finite with lo < hi")
+    box = [Hyperplane((1.0, 0.0), hi), Hyperplane((-1.0, 0.0), -lo),
+           Hyperplane((0.0, 1.0), hi), Hyperplane((0.0, -1.0), -lo)]
+    pts, w = sites.points, sites.weights
     n = len(sites)
     segments = []
-    for i in range(n):
+    for i in range(n - 1):
+        # points with beats[k].normal . x <= beats[k].offset prefer i over k
+        beats = {k: bisector(pts[i], pts[k], w[i], w[k], q) for k in range(n) if k != i}
         for j in range(i + 1, n):
-            plane = bisector(sites.points[i], sites.points[j],
-                             sites.weights[i], sites.weights[j], q)
-            normal = plane.normal
-            p0 = normal * (plane.offset / float(normal @ normal))
+            normal = beats[j].normal
+            p0 = normal * (beats[j].offset / float(normal @ normal))
             direction = np.array([-normal[1], normal[0]])
             direction = direction / float(np.hypot(*direction))
-            interval = _bbox_interval(p0, direction, lo, hi)
-            if interval is None:
-                continue
-            t_lo, t_hi = interval
-            # trim by every other cell: the segment must stay where cells i
-            # and j beat site k as well
-            ok = True
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                other = bisector(sites.points[i], sites.points[k],
-                                 sites.weights[i], sites.weights[k], q)
-                # points with other.normal . x <= other.offset prefer i over k
-                slope = float(other.normal @ direction)
-                gap = other.offset - float(other.normal @ p0)
+            t_lo, t_hi = -np.inf, np.inf
+            for half in box + [plane for k, plane in beats.items() if k != j]:
+                slope = float(half.normal @ direction)
+                gap = half.offset - float(half.normal @ p0)
                 if slope == 0.0:
                     if gap < 0.0:
-                        ok = False
                         break
                 elif slope > 0.0:
                     t_hi = min(t_hi, gap / slope)
                 else:
                     t_lo = max(t_lo, gap / slope)
-                if t_hi - t_lo <= 1e-12:
-                    ok = False
+                # a NaN width (both ends infinite, same sign) is empty too
+                if not t_hi - t_lo > 1e-12:
                     break
-            if not ok or t_hi - t_lo <= 1e-12:
-                continue
-            segments.append(((i, j), (p0 + t_lo * direction, p0 + t_hi * direction)))
+            else:
+                segments.append(((i, j), (p0 + t_lo * direction, p0 + t_hi * direction)))
     return segments

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .assignment import _check_compatible
 from .metrics import batch_region_ranks, has_duplicate_blocks
 from .states import StackedState, _check_target_count, permuted_atoms
 
@@ -202,9 +203,11 @@ def estimate_region_masses(samples: EmpiricalMeasure, x_hat: StackedState, q=Non
 
     Returns n_targets! masses summing to exactly 1.0 (the largest mass absorbs
     the final-ulp rounding of the float partition).  Raises CapacityError
-    for n_targets > MAX_TARGETS before any sample is assigned.
+    for n_targets > MAX_TARGETS before any sample is assigned, and
+    ValueError for samples of another shape than x_hat.
     """
     _check_target_count(x_hat.n_targets)
+    _check_compatible(samples, x_hat)
     ranks = batch_region_ranks(samples.points, x_hat, q)
     n_regions = math.factorial(x_hat.n_targets)
     masses = np.bincount(ranks, weights=samples.weights, minlength=n_regions)

@@ -511,24 +511,23 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
     m = int(m if m is not None else scenario.sample_count)
     seed = scenario.seed
 
+    mass_set = gm_sample(mixture, rng.derive_seed(seed, 1), m)
     if mode == "same-sample":
-        emp = gm_sample(mixture, rng.derive_seed(seed, 1), m)
-        est = mospa_mc(emp, x_hat, q)
-        masses = estimate_region_masses(emp, x_hat, q)
-        w2 = w2_squared(emp, build_region_measure(x_hat, masses), q)
-        tolerance = 1e-8 * est.value
-        se_w2 = None
+        mospa_set = w2_set = mass_set
     else:
-        mass_set = gm_sample(mixture, rng.derive_seed(seed, 1), m)
         mospa_set = gm_sample(mixture, rng.derive_seed(seed, 2), m)
         w2_set = gm_sample(mixture, rng.derive_seed(seed, 3), min(m, _W2_SOURCE_CAP))
 
-        masses = estimate_region_masses(mass_set, x_hat, q)
-        nu = _support(build_region_measure(x_hat, masses))
-        est = mospa_mc(mospa_set, x_hat, q)
-        solution = solve_transport(w2_set, nu, q)
-        w2 = solution.cost
+    est = mospa_mc(mospa_set, x_hat, q)
+    masses = estimate_region_masses(mass_set, x_hat, q)
+    nu = _support(build_region_measure(x_hat, masses))
+    solution = solve_transport(w2_set, nu, q)
+    w2 = solution.cost
 
+    if mode == "same-sample":
+        tolerance = 1e-8 * est.value
+        se_w2 = None
+    else:
         n_w2 = len(w2_set)
         u = solution.source_potentials
         se_w2 = float(np.std(u, ddof=1) / math.sqrt(n_w2)) if n_w2 > 1 else 0.0

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_mixture, random_x_hat, two_mode_mixture
+from conftest import random_mixture, random_spd, random_x_hat, two_mode_mixture
 from mospa import (
+    EmpiricalMeasure,
     StackedState,
     WeightedSites,
     bisector,
@@ -164,6 +165,13 @@ def test_cells_match_regions_single_target():
     assert cells_match_regions(single, one_target) == 1.0
 
 
+def test_cells_match_regions_refuses_a_sample_of_another_shape():
+    # 2 targets of dimension 3 share the stacked width 6 with 3 targets of dimension 2
+    emp = EmpiricalMeasure(2, 3, np.arange(12.0).reshape(2, 6), [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"state shapes differ: \(2,3\) vs \(3,2\)"):
+        cells_match_regions(StackedState(3, 2, np.arange(6.0)), emp)
+
+
 def test_power_classifier_agrees_with_region_on_atoms(fig_x_hat):
     emp = gm_sample(two_mode_mixture(1.0), seed=10, m=500)
     sites = WeightedSites(permuted_atoms(fig_x_hat), np.zeros(2))
@@ -202,6 +210,71 @@ def test_export_three_sites_meet_at_a_point():
     # all three boundary segments share the circumcenter-like corner (2, 2)
     for _, (a, b) in segs:
         assert min(np.linalg.norm(a - [2.0, 2.0]), np.linalg.norm(b - [2.0, 2.0])) <= 1e-9
+
+
+def test_export_collinear_sites_skip_the_hidden_pair():
+    # the (0, 2) bisector x = 2 lies inside cell 1, beyond the (0, 1) line x = 1
+    sites = WeightedSites([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]], np.zeros(3))
+    segs = export_diagram_2d(sites, bbox=(-10.0, 10.0))
+    assert [pair for pair, _ in segs] == [(0, 1), (1, 2)]
+    for (_, (a, b)), x in zip(segs, (1.0, 3.0)):
+        assert a[0] == pytest.approx(x) and b[0] == pytest.approx(x)
+        assert sorted([a[1], b[1]]) == pytest.approx([-10.0, 10.0])
+
+
+@pytest.mark.parametrize("points", [[[20.0, 0.0], [22.0, 0.0]],     # x = 21
+                                    [[20.0, 20.0], [22.0, 22.0]]],  # x + y = 42
+                         ids=["parallel-to-a-side", "slanted"])
+def test_export_bisector_outside_the_box_is_dropped(points):
+    sites = WeightedSites(points, np.zeros(2))
+    assert export_diagram_2d(sites, bbox=(-10.0, 10.0)) == []
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_export_matches_a_grid_oracle(weighted):
+    # an independent check of the clip: every exported segment lies on a tie
+    # of its two sites that no third site undercuts, and every tie of two
+    # cells that a grid edge crosses, with no third site near, is exported
+    rng = np.random.default_rng(41 + weighted)
+    lo, hi = -10.0, 10.0
+    ticks = np.linspace(lo, hi, 41)[:-1] + 0.25  # grid strictly inside the box
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1)
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        sites = WeightedSites(rng.normal(scale=4.0, size=(n, 2)), rng.normal(scale=3.0, size=n))
+        q = random_spd(rng, 2) if weighted else None
+        segs = export_diagram_2d(sites, q=q, bbox=(lo, hi))
+        pairs = [pair for pair, _ in segs]
+        assert len(set(pairs)) == len(pairs) and all(i < j for i, j in pairs)
+        for (i, j), (a, b) in segs:
+            ends = np.stack([a, b])
+            assert np.all((ends >= lo - 1e-9) & (ends <= hi + 1e-9))
+            t = np.linspace(0.0, 1.0, 11)[:, None]
+            costs = power_costs(a + t * (b - a), sites, q)
+            tol = 1e-9 * (1.0 + np.abs(costs).max())
+            assert np.all(np.abs(costs[:, i] - costs[:, j]) <= tol)
+            assert np.all(np.delete(costs, [i, j], axis=1).min(axis=1) >= costs[:, i] - tol)
+        costs = power_costs(grid.reshape(-1, 2), sites, q).reshape(*grid.shape[:2], n)
+        cell = np.argmin(costs, axis=2)
+        for axis in (0, 1):
+            near = [slice(None), slice(None)]
+            far = [slice(None), slice(None)]
+            near[axis], far[axis] = slice(None, -1), slice(1, None)
+            p, p_next = grid[tuple(near)], grid[tuple(far)]
+            a, b = cell[tuple(near)], cell[tuple(far)]
+            crossed = a != b
+            p, p_next, a, b = p[crossed], p_next[crossed], a[crossed], b[crossed]
+            c, c_next = costs[tuple(near)][crossed], costs[tuple(far)][crossed]
+            rows = np.arange(len(a))
+            # cost differences are affine along a grid edge: tie of a and b
+            f0 = c[rows, a] - c[rows, b]
+            f1 = c_next[rows, a] - c_next[rows, b]
+            tie = p + (f0 / (f0 - f1))[:, None] * (p_next - p)
+            at_tie = power_costs(tie, sites, q)
+            order, ranked = np.argsort(at_tie, axis=1), np.sort(at_tie, axis=1)
+            for k in np.flatnonzero(ranked[:, 2] - ranked[:, 1] > 1e-6):
+                assert set(order[k, :2]) == {a[k], b[k]}
+                assert (min(a[k], b[k]), max(a[k], b[k])) in pairs
 
 
 def test_export_single_site_is_empty():

@@ -150,6 +150,13 @@ def test_region_masses_refuse_nine_targets_before_assigning(monkeypatch):
         estimate_region_masses(emp, StackedState(9, 1, np.arange(9.0)))
 
 
+def test_region_masses_refuse_a_sample_of_another_shape():
+    # 2 targets of dimension 3 share the stacked width 6 with 3 targets of dimension 2
+    emp = EmpiricalMeasure(2, 3, np.arange(12.0).reshape(2, 6), [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"state shapes differ: \(2,3\) vs \(3,2\)"):
+        estimate_region_masses(emp, StackedState(3, 2, np.arange(6.0)))
+
+
 def test_build_region_measure_single_target():
     nu = build_region_measure(StackedState(1, 2, [1.0, 2.0]), [1.0])
     assert len(nu) == 1
