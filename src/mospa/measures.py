@@ -16,6 +16,7 @@ import numpy as np
 from . import rng
 from .assignment import _check_compatible
 from .metrics import batch_region_ranks, has_duplicate_blocks
+from .quadform import row_chunks
 from .states import StackedState, _check_target_count, permuted_atoms
 
 
@@ -87,6 +88,15 @@ class GaussianMixture:
         return len(self.weights)
 
 
+def _frozen_or_copy(a) -> np.ndarray:
+    """a itself if it is already a float64, C-contiguous, read-only array that
+    owns its data, as gm_sample hands over; else a float64 copy."""
+    if (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        return a
+    return np.array(a, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Weighted sample points, one stacked state per row of points."""
@@ -97,9 +107,9 @@ class EmpiricalMeasure:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _frozen_or_copy(self.points)
         pts = pts.reshape(pts.shape[0], self.n_targets * self.state_dim)
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        w = _frozen_or_copy(self.weights).reshape(-1)
         if len(w) != pts.shape[0]:
             raise ValueError("points and weights must have equal length")
         if not np.all(np.isfinite(pts)):
@@ -162,23 +172,33 @@ def gm_sample(mixture: GaussianMixture, seed: int, m: int) -> EmpiricalMeasure:
 
     Sample i is a pure function of (seed, i): draw 0 of its stream selects the
     component by weight, the following draws feed the component's Cholesky
-    factor.  Output is therefore bit-identical for a fixed seed no matter how
-    the index range is split up.
+    factor.  Rows are drawn in quadform.row_chunks, and each chunk, padded to
+    at least two rows, is multiplied whole by every component's factor, so
+    every product runs through BLAS gemm, whose bits for a row do not depend
+    on the row count (a one-row product would go to gemv, whose bits differ).
+    The output is therefore bit-identical for a fixed seed no matter how the
+    index range is split up.  Points and weights are frozen here, so
+    EmpiricalMeasure keeps them uncopied.
     """
     if m < 1:
         raise ValueError("sample count must be positive")
-    idx = np.arange(m, dtype=np.uint64)
-    u_sel = rng.uniforms(seed, idx, 0)
+    if not 0 <= seed <= rng.MAX_SEED:
+        raise ValueError(f"seed must lie in [0, {rng.MAX_SEED}]")
     thresholds = np.cumsum(mixture.weights)
     thresholds[-1] = 1.0  # uniforms are <= 1.0: each finds a component despite rounding
-    comp = np.searchsorted(thresholds, u_sel, side="left")
-
-    z = rng.normals(seed, idx, mixture.dim)
     points = np.empty((m, mixture.dim))
-    for c in range(mixture.n_components):
-        mask = comp == c
-        points[mask] = z[mask] @ mixture._chols[c].T + mixture.means[c]
-    return EmpiricalMeasure(mixture.n_targets, mixture.state_dim, points, np.full(m, 1.0 / m))
+    for lo, hi in row_chunks(m, 2 * mixture.dim):
+        idx = np.arange(lo, max(hi, lo + 2), dtype=np.uint64)
+        comp = np.searchsorted(thresholds, rng.uniforms(seed, idx[:hi - lo], 0), side="left")
+        z = rng.normals(seed, idx, mixture.dim)
+        for c in range(mixture.n_components):
+            y = z @ mixture._chols[c].T
+            y += mixture.means[c]
+            np.copyto(points[lo:hi], y[:hi - lo], where=(comp == c)[:, None])
+    weights = np.full(m, 1.0 / m)
+    for arr in (points, weights):
+        arr.setflags(write=False)
+    return EmpiricalMeasure(mixture.n_targets, mixture.state_dim, points, weights)
 
 
 def gm_pdf(mixture: GaussianMixture, x: StackedState) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mospa import (
     gm_pdf,
     gm_sample,
 )
+from mospa import quadform, rng as mospa_rng
 
 
 def test_gm_rejects_zero_covariance():
@@ -71,6 +73,79 @@ def test_gm_sample_streams_are_position_independent():
     long = gm_sample(mix, seed=7, m=400)
     short = gm_sample(mix, seed=7, m=150)
     assert np.array_equal(long.points[:150], short.points)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_gm_sample_refuses_a_seed_outside_64_bits(seed):
+    # streams are keyed on 64 bits: -1 would alias 2**64 - 1, and 2**64 alias 0
+    with pytest.raises(ValueError, match="seed"):
+        gm_sample(two_mode_mixture(), seed, 10)
+
+
+def _whole_sample_draw(mixture, seed, m):
+    """Reference draw over whole-sample arrays, one product per component on
+    that component's rows (gemv for a one-row component).  Returns (points,
+    components)."""
+    idx = np.arange(m, dtype=np.uint64)
+    thresholds = np.cumsum(mixture.weights)
+    thresholds[-1] = 1.0
+    comp = np.searchsorted(thresholds, mospa_rng.uniforms(seed, idx, 0), side="left")
+    z = mospa_rng.normals(seed, idx, mixture.dim)
+    points = np.empty((m, mixture.dim))
+    for c in range(mixture.n_components):
+        mask = comp == c
+        points[mask] = z[mask] @ mixture._chols[c].T + mixture.means[c]
+    return points, comp
+
+
+# dense covariances at dim 4 and 14, with 1, 2 and 3 components
+DENSE = [(k, n) for k in (1, 2, 3) for n in (2, 7)]
+
+
+def _dense_mixture(k, n):
+    return random_mixture(np.random.default_rng(10 * k + n), n, 2, k)
+
+
+@pytest.mark.parametrize("k, n", DENSE)
+def test_gm_sample_bytes_do_not_depend_on_the_chunk_budget(monkeypatch, k, n):
+    mix = _dense_mixture(k, n)
+    default = gm_sample(mix, 11, 301).points.tobytes()
+    for rows in (1, 3):
+        # gm_sample budgets 2 * dim words a row; 301 rows end in a 1-row chunk
+        monkeypatch.setattr(quadform, "_CHUNK_BYTES", rows * 8 * 2 * mix.dim)
+        assert gm_sample(mix, 11, 301).points.tobytes() == default
+
+
+@pytest.mark.parametrize("k, n", DENSE)
+def test_gm_sample_prefixes_are_heads_of_a_longer_draw(k, n):
+    # a one-row product through gemv once made a 1-sample draw differ
+    mix = _dense_mixture(k, n)
+    long = gm_sample(mix, 5, 3001).points
+    for m in range(1, 18):
+        assert gm_sample(mix, 5, m).points.tobytes() == long[:m].tobytes()
+
+
+@pytest.mark.parametrize("k, n", DENSE)
+def test_gm_sample_matches_the_whole_sample_draw(k, n):
+    mix = _dense_mixture(k, n)
+    expected, comp = _whole_sample_draw(mix, 5, 3001)
+    # each component's product ran on >= 2 rows there too, so through gemm
+    assert np.bincount(comp, minlength=k).min() >= 2
+    assert gm_sample(mix, 5, 3001).points.tobytes() == expected.tobytes()
+
+
+def test_gm_sample_holds_its_output_and_one_chunk():
+    # a chunk budgets 2 * dim words a row and Box-Muller's temporaries add a
+    # few more (3.45 MiB here); the whole-sample draw held its index,
+    # uniforms, normals, masked copies and a copy of the points (25.6 MiB)
+    m = 400_000
+    tracemalloc.start()
+    try:
+        emp = gm_sample(two_mode_mixture(), 3, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - emp.points.nbytes - emp.weights.nbytes < 3 * quadform._CHUNK_BYTES
 
 
 def test_gm_pdf_standard_normal_at_zero():
@@ -189,6 +264,43 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.6])
     with pytest.raises(ValueError):
         EmpiricalMeasure(1, 1, [[0.0], [1.0]], [1.2, -0.2])
+
+
+def test_empirical_measure_copies_a_writable_array():
+    pts, w = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
+    emp = EmpiricalMeasure(1, 1, pts, w)
+    assert pts.flags.writeable and w.flags.writeable
+    pts[0, 0], w[0] = 7.0, 7.0
+    assert emp.points[0, 0] == 0.0 and emp.weights[0] == 0.5
+
+
+def test_empirical_measure_copies_a_read_only_view_of_a_writable_base():
+    base = np.array([[0.0], [1.0]])
+    view = base.view()
+    view.setflags(write=False)
+    emp = EmpiricalMeasure(1, 1, view, [0.5, 0.5])
+    assert not np.shares_memory(emp.points, base)
+
+
+def test_empirical_measure_keeps_a_frozen_owning_array():
+    pts, w = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    emp = EmpiricalMeasure(1, 1, pts, w)
+    assert np.shares_memory(emp.points, pts) and np.shares_memory(emp.weights, w)
+
+
+@pytest.mark.parametrize("points, weights, field", [
+    ([[0.0], [math.nan]], [0.5, 0.5], "points"),
+    ([[0.0], [1.0]], [1.5, -0.5], "weights"),
+    ([[0.0], [1.0]], [1.0, 0.0], "weights"),
+], ids=["nan-point", "negative-weight", "zero-weight"])
+def test_empirical_measure_checks_a_kept_array(points, weights, field):
+    pts, w = np.array(points), np.array(weights)
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    with pytest.raises(ValueError, match=field):
+        EmpiricalMeasure(1, 1, pts, w)
 
 
 # `x <= 0` and `abs(total - 1) > tol` are both False for NaN, and an
