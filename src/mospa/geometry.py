@@ -19,7 +19,7 @@ from .assignment import _check_compatible
 from .measures import EmpiricalMeasure
 from .metrics import batch_region_ranks
 from .quadform import point_cost_matrix, row_chunks, validate_spd
-from .states import StackedState, permuted_atoms
+from .states import StackedState, _frozen_array, permuted_atoms
 
 # Samples closer than this to a cost tie are excluded from agreement counts;
 # ties live on measure-zero boundaries and carry no information.
@@ -34,16 +34,12 @@ class WeightedSites:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        pts = _frozen_array(np.atleast_2d(self.points), "sites")
+        w = _frozen_array(self.weights, "site weights", (-1,))
         if pts.shape[0] != w.size:
             raise ValueError("centroids and weights must have equal length")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
-            raise ValueError("sites must be finite")
         if len(np.unique(pts, axis=0)) < pts.shape[0]:
             raise ValueError("centroids must be pairwise distinct")
-        pts.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -63,12 +59,11 @@ class Hyperplane:
     offset: float
 
     def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(normal)) or float(normal @ normal) == 0.0:
+        normal = _frozen_array(self.normal, "normal", (-1,))
+        if float(normal @ normal) == 0.0:
             raise ValueError("normal must be finite with positive norm")
-        normal.setflags(write=False)
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", float(_frozen_array(self.offset, "offset")))
 
 
 def power_costs(points: np.ndarray, sites: WeightedSites, q=None) -> np.ndarray:

@@ -17,7 +17,7 @@ from . import rng
 from .assignment import _check_compatible
 from .metrics import batch_region_ranks, has_duplicate_blocks
 from .quadform import row_chunks
-from .states import StackedState, _check_target_count, permuted_atoms
+from .states import StackedState, _check_target_count, _frozen_array, permuted_atoms
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,18 +38,13 @@ class GaussianMixture:
 
     def __post_init__(self):
         dim = self.n_targets * self.state_dim
-        w = np.array(self.weights, dtype=float).reshape(-1)
-        mu = np.array(self.means, dtype=float).reshape(len(w), dim)
-        cov = np.array(self.covariances, dtype=float).reshape(len(w), dim, dim)
-        # written as `not (valid)` so that NaN fails each check
+        w = _frozen_array(self.weights, "mixture weights", (-1,))
+        mu = _frozen_array(self.means, "mixture means", (len(w), dim))
+        cov = _frozen_array(self.covariances, "mixture covariances", (len(w), dim, dim))
         if not np.all((w > 0) & (w <= 1)):
             raise ValueError("mixture weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1 within 1e-12")
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mixture means must be finite")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("mixture covariances must be finite")
         chols = np.empty_like(cov)
         for c in range(len(w)):
             if not np.array_equal(cov[c], cov[c].T):
@@ -66,8 +61,7 @@ class GaussianMixture:
                     f"covariance of component {c} is numerically singular "
                     "(smallest pivot < 1e-12 x largest)"
                 )
-        for arr in (w, mu, cov, chols):
-            arr.setflags(write=False)
+        chols.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -88,15 +82,6 @@ class GaussianMixture:
         return len(self.weights)
 
 
-def _frozen_or_copy(a) -> np.ndarray:
-    """a itself if it is already a float64, C-contiguous, read-only array that
-    owns its data, as gm_sample hands over; else a float64 copy."""
-    if (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
-            and a.flags.owndata and not a.flags.writeable):
-        return a
-    return np.array(a, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Weighted sample points, one stacked state per row of points."""
@@ -107,19 +92,14 @@ class EmpiricalMeasure:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = _frozen_or_copy(self.points)
-        pts = pts.reshape(pts.shape[0], self.n_targets * self.state_dim)
-        w = _frozen_or_copy(self.weights).reshape(-1)
+        pts = _frozen_array(self.points, "sample points", (len(self.points), self.dim))
+        w = _frozen_array(self.weights, "sample weights", (-1,))
         if len(w) != pts.shape[0]:
             raise ValueError("points and weights must have equal length")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("sample points must be finite")
         if not np.all(w > 0):
             raise ValueError("sample weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"sample weights sum to {w.sum()!r}, expected 1 within 1e-12")
-        pts.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -141,21 +121,16 @@ class DiscreteMeasure:
     masses: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        atoms = np.array(self.atoms, dtype=float)
-        atoms = atoms.reshape(atoms.shape[0], self.n_targets * self.state_dim)
-        masses = np.array(self.masses, dtype=float).reshape(-1)
+        atoms = _frozen_array(self.atoms, "atoms", (len(self.atoms), self.dim))
+        masses = _frozen_array(self.masses, "masses", (-1,))
         if len(masses) != atoms.shape[0]:
             raise ValueError("atoms and masses must have equal length")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atoms must be finite")
         if not np.all(masses >= 0):
             raise ValueError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-12:
             raise ValueError(f"masses sum to {masses.sum()!r}, expected 1 within 1e-12")
         if len(np.unique(atoms, axis=0)) < atoms.shape[0]:
             raise ValueError("atoms must be pairwise distinct")
-        atoms.setflags(write=False)
-        masses.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import rng
 from .measures import GaussianMixture
 from .quadform import validate_spd
+from .states import _frozen_array
 
 
 class ScenarioParseError(ValueError):
@@ -41,9 +42,8 @@ class Scenario:
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
         if self.q_matrix is not None:
-            q = validate_spd(self.q_matrix, self.dim, name="q_matrix")
-            q = q.copy()
-            q.setflags(write=False)
+            q = _frozen_array(self.q_matrix, "q_matrix")
+            validate_spd(q, self.dim, name="q_matrix")
             object.__setattr__(self, "q_matrix", q)
 
     @property

@@ -32,6 +32,27 @@ def _check_target_count(n: int) -> None:
         )
 
 
+def _frozen_array(a, name: str, shape=None) -> np.ndarray:
+    """a as the read-only float64 array that every value type stores.
+
+    a itself if it already is one that is C-contiguous and owns its data (as
+    gm_sample and solve_transport hand theirs over), else a copy, so no
+    caller's writable array is frozen or aliased.  Reshaped only where shape
+    (numpy rules) changes it, so a kept array is not swapped for a view.
+    min and max propagate NaN and +-inf, so the finiteness check (ValueError
+    "<name> must be finite") builds no mask.
+    """
+    if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+    if shape is not None and a.reshape(shape).shape != a.shape:
+        a = a.reshape(shape)
+    if not (np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0))):
+        raise ValueError(f"{name} must be finite")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class StackedState:
     """Point in R^(n_targets * state_dim) holding one block per target."""
@@ -43,15 +64,12 @@ class StackedState:
     def __post_init__(self):
         if self.n_targets < 1 or self.state_dim < 1:
             raise ValueError("n_targets and state_dim must be positive")
-        data = np.array(self.data, dtype=float, copy=True).reshape(-1)
+        data = _frozen_array(self.data, "stacked state entries", (-1,))
         if data.size != self.n_targets * self.state_dim:
             raise ValueError(
                 f"data length {data.size} != n_targets*state_dim = "
                 f"{self.n_targets * self.state_dim}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("stacked state entries must be finite")
-        data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
     @classmethod

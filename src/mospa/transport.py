@@ -33,7 +33,7 @@ from .measures import (
     gm_sample,
 )
 from .quadform import point_cost_matrix, validate_spd
-from .states import StackedState, _check_target_count
+from .states import StackedState, _check_target_count, _frozen_array
 
 _MARGINAL_TOL = 1e-9
 # Cap on the number of empirical sources fed to the LP inside the independent
@@ -58,14 +58,11 @@ class TransportPlan:
     sink_marginal: np.ndarray
 
     def __post_init__(self):
-        flows = np.asarray(self.flows, dtype=float)
-        a = np.asarray(self.source_marginal, dtype=float).reshape(-1)
-        b = np.asarray(self.sink_marginal, dtype=float).reshape(-1)
+        flows = _frozen_array(self.flows, "flows")
+        a = _frozen_array(self.source_marginal, "source_marginal", (-1,))
+        b = _frozen_array(self.sink_marginal, "sink_marginal", (-1,))
         if flows.shape != (a.size, b.size):
             raise ValueError(f"flows shape {flows.shape} != ({a.size}, {b.size})")
-        for name, arr in (("flows", flows), ("source_marginal", a), ("sink_marginal", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
         if np.any(flows < 0):
             raise ValueError("flows must be nonnegative")
         row_err = np.abs(flows.sum(axis=1) - a).max()
@@ -453,7 +450,11 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
     flows[:, keep] = flows_kept
     sink_potentials = np.full(len(sinks), np.nan)
     sink_potentials[keep] = v
-    plan = TransportPlan(flows, sources.weights.copy(), sinks.masses.copy())
+    # frozen here, so the plan keeps the flows uncopied and no caller can
+    # edit a certified solution
+    for arr in (flows, u, sink_potentials):
+        arr.setflags(write=False)
+    plan = TransportPlan(flows, sources.weights, sinks.masses)
     return TransportSolution(plan, total, u, sink_potentials, pivots, dual_gap,
                              _perturbation(sources.weights))
 
