@@ -8,21 +8,21 @@ first acceptable column is taken.  Every entry point hands an (m, n, n)
 cost stack to one dispatcher, _assign, whose one max pass gives both the
 overflow check and tol, which it hands to either of two routes:
 
-- n <= MAX_TARGETS: a vectorized kernel per chunk of samples (chunks are
+- n <= _KERNEL_REACH: a vectorized kernel per chunk of samples (chunks are
   quadform.row_chunks of _kernel_words per sample).  A backward
   DP over column subsets tabulates every completion value (2^n per sample),
   each subset adding only the columns outside it, then a greedy walk applies
   the test.  Each optimum the walk compares against is a table entry that
   the row's argmin reproduces bit for bit, so a column always passes.
-- n > MAX_TARGETS: _solve_square per sample (plain LSA for cost-only
-  callers).  It takes the optimum from scipy's shortest-augmenting-path
-  solver (exact, O(n^3)) and each completion value from another solve; an
-  LSA value that rounding pushed past tol can leave a row with no acceptable
-  column, so it keeps a fallback to the best completion seen.  At smaller n
-  it is only the per-sample reference of the kernel's tests.
+- n > _KERNEL_REACH: _solve_square per sample (plain LSA for cost-only
+  callers).  It takes the optimum and each completion value from scipy's
+  shortest-augmenting-path solver (exact, O(n^3)); an LSA value that
+  rounding pushed past tol can leave a row with no acceptable column, so it
+  keeps a fallback to the best completion seen.  At smaller n it is only
+  the per-sample reference of the kernel's tests.
 
-The brute-force oracle enumerates all n! permutations independently, takes
-the first exact minimum, and is kept purely as a cross-check.
+The brute-force oracle enumerates all n! permutations (n <= 8) independently,
+takes the first exact minimum, and is kept purely as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ from functools import lru_cache
 import numpy as np
 
 from .quadform import batch_block_cost_matrices, row_chunks, target_block_forms
-from .states import (
-    MAX_TARGETS,
-    Permutation,
-    StackedState,
-    permutation_array,
-)
+from .states import Permutation, StackedState, permutation_array
 
 # Ties below this (scaled) resolution are treated as exact.  The cushion only
 # needs to absorb summation-order noise (a few ulp); keeping it this tight
 # bounds any refinement slack well under the 1e-12 oracle-agreement contract.
 _TIE_RTOL = 1e-13
+
+# Largest n of the kernel (us/sample, kernel vs _solve_square): 150 vs 573 at n = 12;
+# at 13 the 2 MiB budget leaves 7 samples a chunk and the lead is thin and noisy,
+# 350-588 vs 676-680; at 14 the kernel loses, 1697 vs 951.
+_KERNEL_REACH = 12
 
 
 def _as_cost_matrix(cost) -> np.ndarray:
@@ -54,22 +54,6 @@ def _as_cost_matrix(cost) -> np.ndarray:
     if np.any(c < 0):
         raise ValueError("cost matrix entries must be nonnegative")
     return c
-
-
-def _completion_value(c: np.ndarray, rows: list[int], cols: list[int]) -> float:
-    """Optimal assignment value on the (rows x cols) submatrix."""
-    k = len(rows)
-    if k == 1:
-        return float(c[rows[0], cols[0]])
-    if k == 2:
-        r0, r1 = rows
-        c0, c1 = cols
-        return float(min(c[r0, c0] + c[r1, c1], c[r0, c1] + c[r1, c0]))
-    from scipy.optimize import linear_sum_assignment
-
-    sub = c[np.ix_(rows, cols)]
-    ri, ci = linear_sum_assignment(sub)
-    return float(sub[ri, ci].sum())
 
 
 def _solve_square(c: np.ndarray, tol: float) -> tuple[tuple[int, ...], float]:
@@ -91,8 +75,8 @@ def _solve_square(c: np.ndarray, tol: float) -> tuple[tuple[int, ...], float]:
         chosen = None
         fallback_j, fallback_v, fallback_sum = cols[0], 0.0, np.inf
         for j in cols:
-            rest_cols = [x for x in cols if x != j]
-            v = _completion_value(c, rest_rows, rest_cols)
+            sub = c[np.ix_(rest_rows, [x for x in cols if x != j])]
+            v = float(sub[linear_sum_assignment(sub)].sum())
             if c[i, j] + v <= target + tol:
                 chosen = j
                 target = v
@@ -123,7 +107,7 @@ def brute_force_assignment(cost) -> tuple[Permutation, float]:
     """Exhaustive minimum over all n! permutations (test oracle, n <= 8)."""
     c = _as_cost_matrix(cost)
     n = c.shape[0]
-    perms = permutation_array(n)  # raises CapacityError above MAX_TARGETS
+    perms = permutation_array(n)  # CapacityError beyond the enumeration cap
     totals = c[np.arange(n)[None, :], perms].sum(axis=1)
     best = int(np.argmin(totals))  # first minimum = lexicographically smallest
     return Permutation(tuple(int(v) for v in perms[best])), float(totals[best])
@@ -162,7 +146,7 @@ def _as_points(points, x_hat: StackedState) -> np.ndarray:
     return pts
 
 
-@lru_cache(maxsize=MAX_TARGETS)
+@lru_cache(maxsize=_KERNEL_REACH)
 def _subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Gather tables of the completion DP over column subsets of {0..n-1}.
 
@@ -189,7 +173,7 @@ def _subset_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarra
 
 def _subset_dp_assign(cs: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically first optimal permutations and their costs for a
-    (m, n, n) stack with n <= MAX_TARGETS, given each sample's tie tolerance.
+    (m, n, n) stack with n <= _KERNEL_REACH, given each sample's tie tolerance.
 
     A backward DP fills g[S, s], the optimal cost of assigning rows |S|..n-1
     of sample s to the columns outside S, from the free columns of each S
@@ -231,7 +215,7 @@ def _subset_dp_assign(cs: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.n
 def _kernel_words(n: int, d: int) -> int:
     """Float64 words one sample holds in a chunk of batch_optimal_permutations."""
     words = n * n * (d + 1)  # block-cost differences and cost stack
-    if n <= MAX_TARGETS:  # transposed costs, DP table, widest layer, walk
+    if n <= _KERNEL_REACH:  # transposed costs, DP table, widest layer, walk
         widest = max(2 * free.size + rows.size for rows, free, _ in _subset_tables(n)[1])
         words += n * n + (1 << n) + 1 + widest + 6 * n
     return words
@@ -245,7 +229,7 @@ def _assign(cs: np.ndarray, want_mappings: bool = True):
         tol = _TIE_RTOL * np.maximum(1.0, cs.max(axis=(1, 2)) * n)
     if not np.isfinite(tol).all():
         raise ValueError(f"costs overflow float64 in a sum of {n}; rescale the inputs")
-    if n <= MAX_TARGETS:
+    if n <= _KERNEL_REACH:
         mappings, costs = _subset_dp_assign(cs, tol)
         return (mappings if want_mappings else None), costs
     if want_mappings:
@@ -263,10 +247,11 @@ def batch_optimal_permutations(points: np.ndarray, x_hat: StackedState, q=None,
     Returns (mappings, costs).  Row s of the (m, n) mappings is the
     lexicographically smallest optimal permutation for sample s, the one
     solve_assignment returns, and costs[s] is the sum of its selected cost
-    entries.  With want_mappings=False, mappings is None.  For n <=
-    MAX_TARGETS both modes run the same batched kernel, so their costs are
-    identical; for larger n the cost-only mode takes plain LSA per sample and
-    skips the tie-break, which changes no optimal value beyond rounding.
+    entries.  With want_mappings=False, mappings is None.  For n <= 12
+    (the kernel's reach) both modes run the same batched kernel, so their
+    costs are identical; for larger n the cost-only mode takes plain LSA per
+    sample and skips the tie-break, which changes no optimal value beyond
+    rounding.
     Each chunk of samples is checked and its block costs built in turn, so
     memory beyond the points and the results is bounded by the chunk, not by
     m.  Raises ValueError for points of the wrong width, non-finite points,

@@ -36,6 +36,7 @@ from .metrics import _warn_if_degenerate
 from .scenarios import Scenario, ScenarioParseError, parse_scenario, scenario_digest
 from .states import (
     StackedState,
+    _check_rank_width,
     batch_permutation_ranks,
     permutation_array,
     permuted_atoms,
@@ -98,6 +99,7 @@ def _sample(scenario: Scenario):
 def _cmd_distance_table(args, scenario, x_hat, q):
     if args.subcommand == "gospa" and q is None:
         raise ValueError("gospa requires --q scenario (use ospa for the identity weight)")
+    _check_rank_width(scenario.n_targets)  # refuse before any sample is drawn
     samples = _sample(scenario)
     _warn_if_degenerate(x_hat)  # the region_rank column, as batch_region_ranks warns
     mappings, costs = batch_optimal_permutations(samples.points, x_hat, q)

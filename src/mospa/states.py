@@ -168,12 +168,17 @@ def permuted_atoms(x_hat: StackedState) -> np.ndarray:
     return x_hat.data[idx]
 
 
+def _check_rank_width(n: int) -> None:
+    """CapacityError if lexicographic ranks of n elements overflow int64."""
+    if n > 20:  # 21! - 1 does not fit in int64
+        raise CapacityError(f"ranks of permutations of {n} > 20 elements overflow int64")
+
+
 def batch_permutation_ranks(mappings: np.ndarray) -> np.ndarray:
     """Lexicographic ranks of an (m, n) batch of permutation mappings."""
     mappings = np.asarray(mappings)
     m, n = mappings.shape
-    if n > 20:  # 21! - 1 does not fit in int64
-        raise CapacityError(f"ranks of permutations of {n} > 20 elements overflow int64")
+    _check_rank_width(n)
     ranks = np.zeros(m, dtype=np.intp)
     for i in range(n):
         smaller_later = (mappings[:, i + 1 :] < mappings[:, i : i + 1]).sum(axis=1)

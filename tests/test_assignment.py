@@ -20,6 +20,7 @@ from mospa import (
 )
 from mospa import assignment, quadform
 from mospa.assignment import (
+    _KERNEL_REACH,
     _TIE_RTOL,
     _solve_square,
     _subset_dp_assign,
@@ -89,7 +90,8 @@ def test_input_validation():
 
 def test_overflowing_cost_sums_are_refused_on_every_entry_point():
     # each entry is finite, but a sum of n of them is not
-    for c in ([[1e308, 0.0], [0.0, 1e308]], np.diag(np.full(MAX_TARGETS + 1, 1e308))):
+    # on the kernel and on the per-sample route above its reach
+    for c in ([[1e308, 0.0], [0.0, 1e308]], np.diag(np.full(_KERNEL_REACH + 1, 1e308))):
         with pytest.raises(ValueError, match="overflow"):
             solve_assignment(c)
     x = StackedState(2, 1, [1e154, -1e154])
@@ -97,7 +99,7 @@ def test_overflowing_cost_sums_are_refused_on_every_entry_point():
         ospa(x, StackedState(2, 1, [-1e154, 1e154]))
 
 
-@pytest.mark.parametrize("n", range(1, MAX_TARGETS + 2))
+@pytest.mark.parametrize("n", range(1, _KERNEL_REACH + 2))
 def test_only_the_per_sample_route_above_the_kernel_reaches_solve_square(n, monkeypatch):
     def refuse(c, tol):
         raise AssertionError("_solve_square reached")
@@ -113,7 +115,7 @@ def test_only_the_per_sample_route_above_the_kernel_reaches_solve_square(n, monk
              lambda: gospa(x, x_hat, q),
              lambda: region_index(x, x_hat, q))
     for call in calls:
-        if n <= MAX_TARGETS:
+        if n <= _KERNEL_REACH:
             call()
         else:
             with pytest.raises(AssertionError, match="_solve_square reached"):
@@ -274,10 +276,11 @@ def _first_exhaustive_minimum(c):
     return min(chunk_minima, key=lambda pair: pair[1])  # the first of equal minima
 
 
-def test_batch_above_kernel_cap_matches_exhaustive_minimum():
-    # n > MAX_TARGETS runs the per-sample route; an independent exhaustive
-    # search over the 9! permutations checks it.  Coordinates in {-1, 0, 1}
-    # give integer costs with many exact ties, so every sum is exact
+def test_batch_above_enumeration_cap_matches_exhaustive_minimum():
+    # n = 9 is beyond the enumeration cap (brute_force_assignment refuses it)
+    # but within the kernel's reach; an independent exhaustive search over
+    # the 9! permutations checks the kernel.  Coordinates in {-1, 0, 1} give
+    # integer costs with many exact ties, so every sum is exact
     rng = np.random.default_rng(11)
     n = MAX_TARGETS + 1
     x_hat = StackedState(n, 1, rng.integers(-1, 2, size=n).astype(float))
@@ -292,7 +295,7 @@ def test_batch_above_kernel_cap_matches_exhaustive_minimum():
         assert costs_only[s].tobytes() == total.tobytes()
 
 
-@pytest.mark.parametrize("n", [3, MAX_TARGETS + 1])
+@pytest.mark.parametrize("n", [3, _KERNEL_REACH + 1])
 def test_chunked_batch_matches_one_chunk(n, monkeypatch):
     # a budget of a few samples per chunk, on the kernel and per-sample paths
     rng = np.random.default_rng(12)
@@ -309,6 +312,26 @@ def test_chunked_batch_matches_one_chunk(n, monkeypatch):
     points[-1] = 1e200  # overflow in the last chunk only
     with pytest.raises(ValueError, match="overflow"):
         batch_optimal_permutations(points, x_hat, want_mappings=False)
+
+
+@pytest.mark.parametrize("n", range(MAX_TARGETS + 1, _KERNEL_REACH + 3))
+def test_both_routes_agree_on_both_sides_of_the_kernel_reach(n):
+    # the kernel and the per-sample route, each called directly, from the
+    # enumeration cap to past the reach that picks between them, on every
+    # kind of cost stack the dense-reference test uses below the cap
+    kinds = ("continuous", "tied", "duplicate", "near-tie", "weighted")
+    stacks = []
+    for seed, kind in enumerate(kinds, 60 * n):
+        points, x_hat, q = assignment_case(kind, n, 2, 16, seed)
+        forms = None if q is None else target_block_forms(q, n, 2)
+        stacks.append(batch_block_cost_matrices(points, x_hat.blocks(), forms))
+    cs = np.concatenate(stacks)
+    tol = _TIE_RTOL * np.maximum(1.0, cs.max(axis=(1, 2)) * n)
+    mappings, costs = _subset_dp_assign(cs, tol)
+    for s in range(len(cs)):
+        mapping, total = _solve_square(cs[s], tol[s])
+        assert tuple(mappings[s]) == mapping
+        assert costs[s].tobytes() == np.float64(total).tobytes()
 
 
 @pytest.mark.parametrize("want_mappings", [True, False])
@@ -365,6 +388,8 @@ def test_cost_only_batch_allocates_no_mappings():
     pytest.param(3, 2, None, (True, False), id="3"),
     pytest.param(5, 2, None, (True, False), id="5"),
     pytest.param(MAX_TARGETS, 2, None, (True, False), id="8"),
+    # the kernel's widest tables
+    pytest.param(_KERNEL_REACH, 2, None, (True, False), id="12"),
     # many chunks: a finiteness mask over the whole batch (17 bytes a row
     # here) would alone break the bound
     pytest.param(MAX_TARGETS, 3, 300_000, (False,), id="8-d3-cost-only"),

@@ -422,8 +422,48 @@ def test_nine_target_verify_exits_1_before_sampling(mode, monkeypatch, tmp_path,
     assert err.startswith("validation error: ") and "target count 9" in err
 
 
+def _twenty_one_target_scenario(tmp_path):
+    scen = {"n_targets": 21, "state_dim": 1, "seed": 3, "sample_count": 30,
+            "mixture": [{"weight": 1.0, "mean": [float(i) for i in range(21)],
+                         "cov": np.eye(21).tolist()}],
+            "q_matrix": np.eye(21).tolist()}
+    path = tmp_path / "twenty_one.json"
+    path.write_text(json.dumps(scen))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["ospa", "gospa"])
+def test_twenty_one_targets_exit_1_before_sampling(command, monkeypatch, tmp_path, capsys):
+    import mospa.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("samples were drawn or assigned")
+
+    # the region_rank column overflows int64 above 20 targets
+    monkeypatch.setattr(cli, "gm_sample", unreachable)
+    monkeypatch.setattr(cli, "batch_optimal_permutations", unreachable)
+    argv = [command, "--scenario", _twenty_one_target_scenario(tmp_path),
+            "--x-hat=" + ",".join(str(i) for i in range(21)),
+            "--output", str(tmp_path / "out.csv")]
+    if command == "gospa":
+        argv += ["--q", "scenario"]
+    code = cli.run(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "21 > 20 elements" in err
+
+
+def test_twenty_one_target_mospa_exits_0(tmp_path):
+    import mospa.cli as cli
+
+    # mospa writes no rank column, so it runs above 20 targets
+    assert cli.run(["mospa", "--scenario", _twenty_one_target_scenario(tmp_path),
+                    "--x-hat=" + ",".join(str(i) for i in range(21)),
+                    "--output", str(tmp_path / "out.csv")]) == 0
+
+
 def test_import_loads_no_scipy():
-    # scipy is imported only by the routes that call it (assignment at n > 8)
+    # scipy is imported only by the routes that call it (assignment at n > 12)
     res = subprocess.run(
         [sys.executable, "-c",
          "import sys, mospa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],

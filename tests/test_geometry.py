@@ -141,6 +141,15 @@ def test_cells_match_regions_is_independent_of_the_cost_chunk(monkeypatch, site_
     assert cells_match_regions(x_hat, emp, site_weights=site_weights) == whole
 
 
+def test_cells_match_regions_drops_samples_on_an_unweighted_tie():
+    # (1, 1) is equidistant from both atoms of (-4, 3): a weight moves its
+    # cell but not its region label, so only the unweighted tie gap drops it
+    emp = EmpiricalMeasure(2, 1, [[1.0, 1.0], [-4.0, 3.0]], [0.5, 0.5])
+    x_hat = StackedState(2, 1, [-4.0, 3.0])
+    assert cells_match_regions(x_hat, emp, site_weights=[0.5, 0.0]) == 1.0
+    assert cells_match_regions(x_hat, emp) == 1.0
+
+
 def test_cells_match_regions_memory_is_bounded_by_the_chunk():
     # n = 6: a whole-batch (m, 720) classifier peaked at 928 MB on this call
     rng = np.random.default_rng(17)
