@@ -73,7 +73,9 @@ def power_costs(points: np.ndarray, sites: WeightedSites, q=None) -> np.ndarray:
         raise ValueError(f"point dim {points.shape[1]} != site dim {sites.dim}")
     if q is not None:
         validate_spd(q, sites.dim)
-    return point_cost_matrix(points, sites.points, q) + sites.weights[None, :]
+    costs = point_cost_matrix(points, sites.points, q)
+    costs += sites.weights
+    return costs
 
 
 def power_cell_index(x, sites: WeightedSites, q=None) -> int:

@@ -1,8 +1,12 @@
 """Quadratic-form distance kernels shared by the metric, transport and
 geometry layers.
 
-point_cost_matrix is the one cost formula; batch_block_cost_matrices lays
-its rows out as assignment block costs.
+point_cost_matrix is the one cost formula, evaluated in one of two orders;
+batch_block_cost_matrices lays its rows out as assignment block costs.  Up
+to dim 2 every sum is at most two terms and einsum's +0.0 start, which add
+to the same bits in any order, so explicit products reproduce einsum's
+costs bit for bit, faster.  Above dim 2 einsum sums in an order set by
+numpy's SIMD dispatch that no explicit order reproduces, so einsum stays.
 
 Weighted distances are evaluated as d^T Q d directly (matvec then dot) rather
 than through a Cholesky change of coordinates: the direct form makes
@@ -92,18 +96,23 @@ def row_chunks(m: int, words: int):
 def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.ndarray:
     """(m, k) squared (Q-weighted) Euclidean distances, built over row_chunks.
 
-    Each chunk's differences are its rows, each repeated k times, minus the
-    targets in place: the same (rows, k, dim) tensor and subtractions as a
-    broadcast.  repeat always returns a fresh C-ordered copy, so the points
-    are never written and the sums run in one order whatever their layout.
-    With Q the chunk also holds its weighted copy, so it is sized for both;
-    both are released before the next chunk is built.  A sum of squares is
-    never negative, so only the weighted costs are clamped at 0.
+    At dim <= 2 _low_dim_costs fills each chunk's columns with einsum's bits
+    (see the module docstring).  Above, each chunk's differences are its
+    rows, each repeated k times, minus the targets in place: the same
+    (rows, k, dim) tensor and subtractions as a broadcast.  repeat always
+    returns a fresh C-ordered copy, so the points are never written and
+    einsum sums them in one order whatever their layout.  With Q the chunk
+    also holds its weighted copy, so it is sized for both; both are released
+    before the next chunk is built.  A sum of squares is never negative, so
+    only the weighted costs are clamped at 0.
     """
     m = points.shape[0]
     k, dim = targets.shape
     out = np.empty((m, k))
     for lo, hi in row_chunks(m, k * dim if q is None else 2 * k * dim):
+        if dim <= 2:
+            _low_dim_costs(points[lo:hi].T, targets, q, out[lo:hi])
+            continue
         diff = points[lo:hi].repeat(k, axis=0).reshape(hi - lo, k, dim)
         diff -= targets
         if q is None:
@@ -116,3 +125,25 @@ def point_cost_matrix(points: np.ndarray, targets: np.ndarray, q=None) -> np.nda
     if q is not None:
         np.maximum(out, 0.0, out=out)
     return out
+
+
+def _low_dim_costs(coords, targets, q, out):
+    """Fill out[:, j] with the costs from the points whose (dim <= 2, rows)
+    coordinates are `coords` to targets[j]: d0^2 (+ d1^2), or with Q
+    +0.0 + d0 s0 (+ d1 s1) where s_a = +0.0 + q[a,0] d0 (+ q[a,1] d1).
+
+    einsum's sums start from +0.0 too, so a zero sum is never -0.0 (a
+    square never is).  Its ufuncs must raise no floating-point warning, as
+    einsum raises none: costs that overflow are inf (or NaN) in both forms.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, target in enumerate(targets):
+            diff = [x - c for x, c in zip(coords, target)]
+            if q is None:
+                cost = np.multiply(diff[0], diff[0], out=diff[0])
+                for d in diff[1:]:
+                    cost += np.multiply(d, d, out=d)
+            else:
+                s = [sum((w * e for w, e in zip(row, diff)), 0.0) for row in q]
+                cost = sum((d * sa for d, sa in zip(diff, s)), 0.0)
+            out[:, j] = cost

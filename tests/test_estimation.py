@@ -382,6 +382,32 @@ def test_mmospa_weighted_multi_block_run_is_pinned():
         "0x1.fb471e6ebb1f6p+1", "0x1.fb471e6ebb1f6p+1"]
 
 
+def test_mmospa_weighted_scalar_pair_run_is_pinned():
+    # two scalar targets under a diagonal Q: the alignment's costs are
+    # weighted dim-2 point-to-atom sweeps; bits recorded from the einsum kernel
+    rng = np.random.default_rng(23)
+    q = block_diagonal_q(rng, 2, 1)
+    mix = random_mixture(rng, 2, 1, 3, spread=1.5)
+    emp = gm_sample(mix, seed=5, m=20000)
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=4, restarts=4), q=q)
+    assert [v.hex() for v in res.estimate.data] == ["-0x1.1f0f76736e98cp+0", "0x1.5683b990cca0ap-1"]
+    assert (res.iterations, res.converged, res.restarts_used) == (8, True, 4)
+    assert res.empirical_mospa.hex() == "0x1.b1dacb200fdbcp+1"
+    assert [v.hex() for v in res.descent_trace] == [
+        "0x1.b1ff0e24d4c1ap+1", "0x1.b1e27f92020b4p+1", "0x1.b1dbf0b1b30f6p+1",
+        "0x1.b1daee7caa933p+1", "0x1.b1dad4e07a39ap+1", "0x1.b1dacdd4f5ea4p+1",
+        "0x1.b1dacb200fdbcp+1", "0x1.b1dacb200fdbcp+1"]
+
+
+def test_weighted_mospa_mc_is_pinned():
+    # the weighted scenario's d = 2 block costs under its slot forms; bits
+    # recorded from the einsum kernel
+    sc = parse_scenario(WEIGHTED_SCENARIO)
+    emp = gm_sample(sc.mixture, sc.seed, sc.sample_count)
+    est = mospa_mc(emp, StackedState(2, 2, [-2.0, 1.0, 2.0, -1.0]), q=sc.q_matrix)
+    assert (est.value.hex(), est.std_error.hex()) == ("0x1.07d1ec0edf326p+2", "0x1.9f72af9357707p-6")
+
+
 def _record_starts(monkeypatch):
     """Spy on the per-restart descent; returns the list its arguments go to."""
     calls = []

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import block_diagonal_q
+from mospa import quadform
 from mospa.quadform import (
     _CHUNK_BYTES,
     batch_block_cost_matrices,
@@ -50,6 +52,78 @@ def test_point_cost_matrix_matches_the_broadcast_reference(k, weighted):
         assert np.all(on_target == 0.0) and not np.any(np.signbit(on_target))
         if not weighted:
             assert not np.any(np.signbit(out))
+
+
+def _einsum_costs(points, targets, q=None):
+    """The einsum form of the costs over one broadcast difference, before the
+    clamp: the reference that the dim <= 2 kernel must match bit for bit."""
+    diff = points[:, None, :] - targets[None, :, :]
+    if q is None:
+        return np.einsum("mkd,mkd->mk", diff, diff)
+    return np.einsum("mkd,mkd->mk", diff, np.einsum("de,mke->mkd", q, diff))
+
+
+def _low_dim_case(kind, dim, rng):
+    """(points, targets, q) at dim 1 or 2, by kind: continuous; zeros
+    (every vector of coordinates in {-0.0, +0.0, -1, 1}: exact-zero and
+    signed-zero differences); tiny (~1e-170, whose products underflow to
+    signed zeros); huge (~1e154, whose squares overflow to inf); or rank-one
+    (Q = v v^T and points off a target along v's normal, where d^T Q d rounds
+    to negative values that the clamp lifts to 0).  The weight has a negative
+    coupling term at dim 2, so that weighted products of signed zeros differ
+    in sign."""
+    m, k = 301, 5
+    targets = rng.normal(size=(k, dim))
+    points = rng.normal(size=(m, dim))
+    q = np.array([[2.0, -0.75], [-0.75, 1.0]])[:dim, :dim]
+    if kind == "zeros":  # every pair of coordinate vectors
+        points = targets = np.array(list(itertools.product([-0.0, 0.0, -1.0, 1.0], repeat=dim)))
+    if kind == "tiny":
+        targets *= 1e-170
+        points *= 1e-170
+    if kind == "huge":
+        targets *= 1e154
+        points *= 1e154
+    if kind == "rank-one":
+        v = rng.normal(size=dim)
+        q = v[:, None] * v[None, :]
+        normal = np.array([-v[-1], v[0]])[:dim] if dim == 2 else np.zeros(1)
+        points = (targets[rng.integers(0, k, size=m)] + rng.normal(size=(m, 1)) * normal
+                  + 1e-9 * rng.normal(size=(m, dim)))
+    return points, targets, q
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["continuous", "zeros", "tiny", "huge", "rank-one"])
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_low_dim_costs_match_einsum_bit_for_bit(kind, dim, weighted, chunk_rows, monkeypatch):
+    # at dim <= 2 point_cost_matrix evaluates the costs by explicit products;
+    # they must carry einsum's bits, signed zeros included, with no warning
+    rng = np.random.default_rng([dim, weighted, sum(map(ord, kind))])
+    points, targets, q = _low_dim_case(kind, dim, rng)
+    q = q if weighted else None
+    if chunk_rows is not None:  # chunks of a few rows, the last one partial
+        words = targets.size if q is None else 2 * targets.size
+        monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * words * chunk_rows)
+        assert len(list(row_chunks(len(points), words))) == -(-len(points) // chunk_rows)
+    raw = _einsum_costs(points, targets, q)
+    with np.errstate(invalid="ignore"):
+        ref = raw if q is None else np.maximum(raw, 0.0)
+    assert _same_bits(point_cost_matrix(points, targets, q), ref)
+    # before the clamp too, which may map -0.0 to +0.0 and so hide its sign
+    out = np.empty_like(raw)
+    quadform._low_dim_costs(points.T, targets, q, out)
+    assert _same_bits(out, raw)
+    if kind == "huge":
+        assert np.any(np.isinf(raw))
+    if kind == "rank-one" and weighted and dim == 2:
+        assert np.any(raw < 0.0)  # costs that the clamp lifts to 0
 
 
 @pytest.mark.parametrize("weighted", [False, True])
