@@ -37,6 +37,7 @@ from .scenarios import Scenario, ScenarioParseError, parse_scenario, scenario_di
 from .states import (
     StackedState,
     _check_rank_width,
+    _check_target_count,
     batch_permutation_ranks,
     permutation_array,
     permuted_atoms,
@@ -117,6 +118,7 @@ def _cmd_mospa(args, scenario, x_hat, q):
 
 
 def _cmd_mmospa(args, scenario, x_hat, q):
+    _check_target_count(scenario.n_targets)  # refuse before any sample is drawn
     samples = _sample(scenario)
     cfg = MmospaConfig(seed=rng.derive_seed(scenario.seed, 11))
     result = mmospa_estimate(samples, init=x_hat, config=cfg, q=q)
@@ -131,6 +133,7 @@ def _cmd_mmospa(args, scenario, x_hat, q):
 
 
 def _cmd_masses(args, scenario, x_hat, q):
+    _check_target_count(scenario.n_targets)  # refuse before any sample is drawn
     masses = estimate_region_masses(_sample(scenario), x_hat, q)
     perms = permutation_array(scenario.n_targets).tolist()
     rows = [(k, "|".join(map(str, perms[k])), masses[k]) for k in range(len(masses))]
@@ -138,6 +141,7 @@ def _cmd_masses(args, scenario, x_hat, q):
 
 
 def _cmd_wasserstein(args, scenario, x_hat, q):
+    _check_target_count(scenario.n_targets)  # refuse before any sample is drawn
     samples = _sample(scenario)
     masses = estimate_region_masses(samples, x_hat, q)
     nu = build_region_measure(x_hat, masses)
@@ -155,6 +159,7 @@ def _cmd_verify(args, scenario, x_hat, q):
 
 
 def _cmd_prop1(args, scenario, x_hat, q):
+    _check_target_count(scenario.n_targets)  # refuse before any sample is drawn
     samples = _sample(scenario)
     agreement = cells_match_regions(x_hat, samples, q)
     return (["agreement", "sample_count"], [(agreement, len(samples))],

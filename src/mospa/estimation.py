@@ -16,7 +16,11 @@ per call.  A step walks fixed blocks of _CHUNK samples; each block is scored
 one quadform.row_chunks chunk at a time, then adds its weighted minima to the
 objective and its aligned sample blocks to the average (with slot weight
 matrices, to the sums of its normal equations), so it keeps nothing per
-sample.
+sample.  At two atoms (two targets, the paper's canonical case) a row's
+first minimum is one comparison of the two cost columns, several times
+faster than argmin, which pays a per-row reduction for two numbers.  A
+sweep over the columns loses to argmin at every atom count, so above two
+argmin stays.
 """
 
 from __future__ import annotations
@@ -132,7 +136,10 @@ def _step(points, weights, atoms, inv_perms, n, d, q, forms):
 
     One pass over fixed blocks of _CHUNK samples.  A block aligns each sample
     to its first minimum atom (lexicographic), one quadform.row_chunks chunk
-    of costs at a time, and adds its weighted minima to the objective.
+    of costs at a time, and adds its weighted minima to the objective.  At
+    two atoms the index is 1 where not c1 >= c0 and c0 is not NaN: a tie
+    and a NaN c0 go to atom 0 and a NaN c1 alone to atom 1, argmin's rule
+    (its first minimum, or its first NaN).
     Without slot weight matrices F_i it adds its weighted aligned sample
     blocks to the average.  With them it adds to the weight sum W_ji and the
     weighted block sum S_ji of the samples whose block i it assigns to slot
@@ -150,7 +157,11 @@ def _step(points, weights, atoms, inv_perms, n, d, q, forms):
         low = np.empty(hi - lo)
         for a, b in row_chunks(hi - lo, atoms.size):
             costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
-            arg[a:b] = costs.argmin(axis=1)  # first minimum = lexicographic
+            if k == 2:  # argmin's index by one comparison (see above)
+                c0, c1 = costs.T
+                arg[a:b] = ~(c1 >= c0) & (c0 == c0)
+            else:
+                arg[a:b] = costs.argmin(axis=1)  # first minimum = lexicographic
             low[a:b] = costs.take(arg[a:b] + k * np.arange(b - a))
         w_blk = weights[lo:hi]
         obj += float(np.sum(w_blk * low))

@@ -404,6 +404,29 @@ def test_nine_targets_exit_1_before_region_masses(command, monkeypatch, tmp_path
     assert err.startswith("validation error: ") and "target count 9" in err
 
 
+@pytest.mark.parametrize("command", ["masses", "wasserstein", "prop1", "mmospa"])
+def test_nine_targets_exit_1_before_sampling(command, monkeypatch, tmp_path, capsys):
+    import mospa.cli as cli
+
+    # a large --samples would allocate the whole draw before the refusal
+    calls = []
+    draw = cli.gm_sample
+
+    def spy(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(cli, "gm_sample", spy)
+    code = cli.run([command, "--scenario", _nine_target_scenario(tmp_path),
+                    "--x-hat=0,1,2,3,4,5,6,7,8", "--samples", "2000000",
+                    "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == ("validation error: target count 9 outside [1, 8]; enumeration is "
+                   "factorial (8! = 40320 permutations)\n")
+
+
 @pytest.mark.parametrize("mode", ["same-sample", "independent"])
 def test_nine_target_verify_exits_1_before_sampling(mode, monkeypatch, tmp_path, capsys):
     import mospa.cli as cli

@@ -284,6 +284,56 @@ def test_step_takes_the_first_of_tied_atoms(monkeypatch, weighted):
     _assert_step_matches_the_reference(args)
 
 
+_SPECIAL_PAIRS = {
+    "random": [],
+    "ties": [(0.0, 0.0), (1.5, 1.5), (np.inf, np.inf), (5e-324, 5e-324)],
+    "nan_c0": [(np.nan, 0.0), (np.nan, 2.0), (np.nan, np.inf)],
+    "nan_c1": [(0.0, np.nan), (2.0, np.nan), (np.inf, np.nan)],
+    "nan_both": [(np.nan, np.nan)],
+    "inf": [(np.inf, np.inf), (np.inf, 1.0), (1.0, np.inf)],
+    "minus_inf": [(-np.inf, -np.inf), (-np.inf, 1.0), (1.0, -np.inf)],
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", sorted(_SPECIAL_PAIRS))
+def test_two_atom_step_takes_argmins_index(monkeypatch, kind, weighted):
+    # at two atoms the step compares the cost columns instead of calling
+    # argmin; served crafted costs, it must pick what argmin picks: the first
+    # of tied atoms, atom 0 at a NaN in c0, atom 1 at a NaN in c1 alone
+    rng = np.random.default_rng(97)
+    args = _step_args(rng, 2, 1, 2500, weighted)
+    points, weights, atoms, inv_perms, n, d, q, forms = args
+    m = len(points)
+    table = rng.exponential(size=(m, 2))
+    if _SPECIAL_PAIRS[kind]:  # about half the rows
+        pairs = np.array(_SPECIAL_PAIRS[kind])
+        special = rng.random(m) < 0.5
+        table[special] = pairs[rng.integers(len(pairs), size=special.sum())]
+    served = []
+
+    def crafted(pts, targets, q_):
+        lo = (pts.ctypes.data - points.ctypes.data) // points.strides[0]
+        served.append((lo, len(pts)))
+        return table[lo:lo + len(pts)].copy()
+
+    monkeypatch.setattr(estimation, "point_cost_matrix", crafted)
+    monkeypatch.setattr(estimation, "_CHUNK", 700)
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * atoms.size * 97)  # 97 rows a chunk
+    step_obj, step_nxt = estimation._step(*args)
+    # 8 row chunks in each full 700-row block, 5 in the last, every row once
+    assert len(served) == 29 and sum(r for _, r in served) == m
+
+    best = table.argmin(axis=1)
+    low = table[np.arange(m), best]
+    obj = 0.0
+    for lo in range(0, m, 700):
+        obj += float(np.sum(weights[lo:lo + 700] * low[lo:lo + 700]))
+    nxt = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+    assert step_obj.hex() == obj.hex()
+    assert np.array_equal(step_nxt, nxt)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_step_matches_the_two_pass_reference_over_full_blocks(weighted):
     # the block size as it ships: two full blocks and a partial one
@@ -363,6 +413,21 @@ def test_mmospa_unweighted_multi_block_run_is_pinned():
     assert (res.iterations, res.converged, res.restarts_used) == (2, True, 16)
     assert res.empirical_mospa.hex() == "0x1.5e4620496f9f1p+0"
     assert [v.hex() for v in res.descent_trace] == ["0x1.5e4620496f9f1p+0", "0x1.5e4620496f9f1p+0"]
+
+
+def test_mmospa_unweighted_planar_pair_run_is_pinned():
+    # two planar targets without Q: the alignment's costs are dim-4 einsum
+    # sweeps over two atoms; bits recorded from the argmin step
+    sc = parse_scenario(WEIGHTED_SCENARIO)
+    emp = gm_sample(sc.mixture, sc.seed, sc.sample_count)
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=mospa_rng.derive_seed(sc.seed, 11)))
+    assert [v.hex() for v in res.estimate.data] == [
+        "-0x1.cfd8d9dbfcda2p+0", "0x1.318e1a9f5e754p+0",
+        "0x1.cf0e4b3ad8baep+0", "-0x1.fe8e65d697e7ap-1"]
+    assert (res.iterations, res.converged, res.restarts_used) == (3, True, 16)
+    assert res.empirical_mospa.hex() == "0x1.a81e5bf1944b6p+1"
+    assert [v.hex() for v in res.descent_trace] == [
+        "0x1.a81eabd4bf9f2p+1", "0x1.a81e5bf1944b6p+1", "0x1.a81e5bf1944b6p+1"]
 
 
 def test_mmospa_weighted_multi_block_run_is_pinned():
