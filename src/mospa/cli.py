@@ -118,7 +118,6 @@ def _cmd_mospa(args, scenario, x_hat, q):
 
 
 def _cmd_mmospa(args, scenario, x_hat, q):
-    _check_target_count(scenario.n_targets)  # refuse before any sample is drawn
     samples = _sample(scenario)
     cfg = MmospaConfig(seed=rng.derive_seed(scenario.seed, 11))
     result = mmospa_estimate(samples, init=x_hat, config=cfg, q=q)

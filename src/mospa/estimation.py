@@ -12,15 +12,13 @@ One pass over the samples, a step, gives an estimate X's objective and the
 next estimate N(X).  Both are pure functions of X, so each mmospa_estimate
 call memoizes X -> (objective, N(X)) by X's bytes: restarts that reach a
 bit-equal estimate share its future, and each distinct estimate is swept once
-per call.  A step walks fixed blocks of _CHUNK samples; each block is scored
-one quadform.row_chunks chunk at a time, then adds its weighted minima to the
-objective and its aligned sample blocks to the average (with slot weight
-matrices, to the sums of its normal equations), so it keeps nothing per
-sample.  At two atoms (two targets, the paper's canonical case) a row's
-first minimum is one comparison of the two cost columns, several times
-faster than argmin, which pays a per-row reduction for two numbers.  A
-sweep over the columns loses to argmin at every atom count, so above two
-argmin stays.
+per call.  A step walks fixed blocks of _CHUNK samples; each block aligns
+its samples with the batched assignment kernel (batch_optimal_permutations,
+and its tie rule), then adds its weighted minima to the objective and its
+aligned sample blocks to the average (with slot weight matrices, to the sums
+of its normal equations), so it keeps nothing per sample.  At two targets
+(the paper's canonical case) one comparison of the costs to the two
+permuted estimates aligns a sample, several times faster than the kernel.
 """
 
 from __future__ import annotations
@@ -33,9 +31,11 @@ from . import rng
 from .assignment import _check_compatible, batch_optimal_permutations
 from .measures import EmpiricalMeasure
 from .quadform import point_cost_matrix, row_chunks, target_block_forms
-from .states import StackedState, _atom_index_matrix, permutation_array
+from .states import StackedState, _atom_index_matrix
 
 _CHUNK = 1 << 16
+# At two targets, slot j takes sample block _PAIR_SOURCES[a, j] at atom a.
+_PAIR_SOURCES = np.array([[0, 1], [1, 0]])
 # A run stops once an averaging step lowers the objective by less than this.
 _TOL = 1e-10
 
@@ -130,14 +130,16 @@ def _weighted_column_sum(w: np.ndarray, rows: np.ndarray, center=None) -> np.nda
     return acc
 
 
-def _step(points, weights, atoms, inv_perms, n, d, q, forms):
-    """One descent step: the objective of the estimate whose permuted atoms
-    are `atoms`, and the next estimate, flat.
+def _step(points, weights, xh, n, d, q, forms):
+    """One descent step: the objective of the flat estimate xh and the next
+    estimate, flat.
 
     One pass over fixed blocks of _CHUNK samples.  A block aligns each sample
-    to its first minimum atom (lexicographic), one quadform.row_chunks chunk
-    of costs at a time, and adds its weighted minima to the objective.  At
-    two atoms the index is 1 where not c1 >= c0 and c0 is not NaN: a tie
+    to xh and adds its weighted minimum costs to the objective.  Except at
+    two targets the mappings and costs are batch_optimal_permutations's, and
+    slot j takes the sample block that the inverse mapping names.  At two
+    targets each quadform.row_chunks chunk is scored against both permuted
+    estimates; the index is 1 where not c1 >= c0 and c0 is not NaN: a tie
     and a NaN c0 go to atom 0 and a NaN c1 alone to atom 1, argmin's rule
     (its first minimum, or its first NaN).
     Without slot weight matrices F_i it adds its weighted aligned sample
@@ -145,27 +147,32 @@ def _step(points, weights, atoms, inv_perms, n, d, q, forms):
     weighted block sum S_ji of the samples whose block i it assigns to slot
     j; after the pass slot j solves sum_i W_ji F_i x = sum_i F_i S_ji.
     """
-    m, k = points.shape[0], atoms.shape[0]
+    m = points.shape[0]
     rows = points.reshape(m * n, d)
+    if n == 2:
+        atoms = xh[_atom_index_matrix(2, d)]
+    else:
+        estimate = StackedState(n, d, xh)
     obj = 0.0
     acc = np.zeros((n, d))
     wsum = np.zeros((n, n))
     xsum = np.zeros((n, n, d))
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
-        arg = np.empty(hi - lo, dtype=np.intp)
-        low = np.empty(hi - lo)
-        for a, b in row_chunks(hi - lo, atoms.size):
-            costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
-            if k == 2:  # argmin's index by one comparison (see above)
-                c0, c1 = costs.T
+        if n == 2:
+            arg = np.empty(hi - lo, dtype=np.intp)
+            low = np.empty(hi - lo)
+            for a, b in row_chunks(hi - lo, atoms.size):
+                costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
+                c0, c1 = costs.T  # argmin's index by one comparison (see above)
                 arg[a:b] = ~(c1 >= c0) & (c0 == c0)
-            else:
-                arg[a:b] = costs.argmin(axis=1)  # first minimum = lexicographic
-            low[a:b] = costs.take(arg[a:b] + k * np.arange(b - a))
+                low[a:b] = costs.take(arg[a:b] + 2 * np.arange(b - a))
+            src = _PAIR_SOURCES.take(arg, axis=0)
+        else:
+            mappings, low = batch_optimal_permutations(points[lo:hi], estimate, q)
+            src = mappings.argsort(axis=1)
         w_blk = weights[lo:hi]
         obj += float(np.sum(w_blk * low))
-        src = inv_perms.take(arg, axis=0)
         if forms is None:
             src += (n * np.arange(lo, hi))[:, None]
             acc += np.einsum("m,m...->...", w_blk, rows.take(src, axis=0))
@@ -215,8 +222,6 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     forms = None if q is None else target_block_forms(q, n, d)
 
     points, weights = samples.points, samples.weights
-    atom_idx = _atom_index_matrix(n, d)
-    inv_perms = np.argsort(permutation_array(n), axis=1)
 
     total = float(np.sum(weights))
     mean = _weighted_column_sum(weights, points) / total
@@ -232,8 +237,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
         else:
             eta = rng.normals(rng.derive_seed(cfg.seed, 101, r), np.zeros(1, dtype=np.uint64), n * d)[0]
             x0 = mean + std * eta
-        xh, trace, outcome = _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q,
-                                        forms, cfg, memo)
+        xh, trace, outcome = _lloyd_run(points, weights, x0, n, d, q, forms, cfg, memo)
         if not np.isfinite(outcome.objective):
             raise RuntimeError("MMOSPA objective became non-finite")
         outcomes.append(outcome)
@@ -253,7 +257,7 @@ def mmospa_estimate(samples: EmpiricalMeasure, init: StackedState | None = None,
     )
 
 
-def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg, memo):
+def _lloyd_run(points, weights, x0, n, d, q, forms, cfg, memo):
     """One restart's descent from x0: (last estimate, trace, outcome).
 
     memo maps the bytes of every estimate swept in this mmospa_estimate call
@@ -262,7 +266,7 @@ def _lloyd_run(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg, me
     def step(xh):
         key = xh.tobytes()
         if key not in memo:
-            memo[key] = _step(points, weights, xh[atom_idx], inv_perms, n, d, q, forms)
+            memo[key] = _step(points, weights, xh, n, d, q, forms)
         return memo[key]
 
     swept_before = len(memo)

@@ -13,7 +13,8 @@ and its first column, never the whole reduced-cost matrix: after a pivot the
 re-rooted rows are recomputed, and every other row compares its cached
 minimum with the re-rooted columns, read from a transposed copy of the
 costs.  No entropic or otherwise approximate scheme is involved anywhere;
-optimality is certified by the dual gap before returning.
+optimality is certified before returning: by dual feasibility, checked from
+the costs, and by the dual gap (complementary slackness up to rounding).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .measures import (
     estimate_region_masses,
     gm_sample,
 )
-from .quadform import point_cost_matrix, validate_spd
+from .quadform import point_cost_matrix, row_chunks, validate_spd
 from .states import StackedState, _check_target_count, _frozen_array
 
 _MARGINAL_TOL = 1e-9
@@ -84,9 +85,10 @@ class TransportSolution:
     u_i + v_j <= c_ij and a @ u + b @ v == cost (to the certificate tolerance).
     A zero-mass sink is dropped before the solve, so its potential is NaN.
     pivots counts simplex pivots after the initial basis.  dual_gap is the
-    certified |primal - dual| and perturbation the size delta of the source
-    marginal bump that the pivoting ran on (the plan itself is re-solved on
-    the exact marginals).
+    certified |primal - dual|, dual_infeasibility the certified
+    max(0, -min(c_ij - u_i - v_j)) over the kept sinks, and perturbation the
+    size delta of the source marginal bump that the pivoting ran on (the
+    plan itself is re-solved on the exact marginals).
     """
 
     plan: TransportPlan
@@ -96,6 +98,7 @@ class TransportSolution:
     pivots: int
     dual_gap: float
     perturbation: float
+    dual_infeasibility: float
 
 
 @dataclass(frozen=True)
@@ -429,8 +432,9 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
     sinks break pivoting); their columns come back as zeros in the returned
     plan and their potentials as NaN.  Raises ValueError, before any dense
     array is built, on what _check_pair refuses (such as sources x sinks
-    above _MAX_COST_ENTRIES), and RuntimeError when the dual gap
-    certificate fails.
+    above _MAX_COST_ENTRIES), and RuntimeError when the certificate fails:
+    a dual gap above 1e-7 relative, or a reduced cost c_ij - u_i - v_j below
+    -1e-12 times the largest kept cost.
     """
     _check_pair(sources, sinks, q)
     keep = sinks.masses > 0.0
@@ -446,6 +450,12 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
         raise RuntimeError(
             f"optimality certificate failed: primal {total!r} vs dual {dual!r}"
         )
+    # the gap holds on any basis tree; optimality needs u_i + v_j <= c_ij too
+    infeasibility = 0.0
+    for lo, hi in row_chunks(*cost.shape):
+        infeasibility = max(infeasibility, -float((cost[lo:hi] - u[lo:hi, None] - v).min()))
+    if infeasibility > 1e-12 * float(cost.max()):
+        raise RuntimeError(f"optimality certificate failed: reduced cost {-infeasibility!r}")
     flows = np.zeros((len(sources), len(sinks)))
     flows[:, keep] = flows_kept
     sink_potentials = np.full(len(sinks), np.nan)
@@ -456,7 +466,7 @@ def solve_transport(sources: EmpiricalMeasure, sinks: DiscreteMeasure,
         arr.setflags(write=False)
     plan = TransportPlan(flows, sources.weights, sinks.masses)
     return TransportSolution(plan, total, u, sink_potentials, pivots, dual_gap,
-                             _perturbation(sources.weights))
+                             _perturbation(sources.weights), infeasibility)
 
 
 def coupling_cost(plan: TransportPlan, sources: EmpiricalMeasure,

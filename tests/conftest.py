@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mospa import GaussianMixture, Scenario, StackedState
+from mospa import GaussianMixture, Scenario, StackedState, transport
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -103,3 +103,16 @@ def fig_mixture():
 @pytest.fixture
 def fig_x_hat():
     return StackedState(2, 1, [-4.0, 3.0])
+
+
+def stop_at_the_start(monkeypatch):
+    """Patch the simplex's pricing to find no entering arc, so a solve stops
+    at its greedy start: a feasible basis tree, whose duals close the gap
+    but are not feasible."""
+    reprice = transport._reprice
+
+    def no_entering_arc(*args):
+        reprice(*args)
+        args[-2][:] = 0.0  # row_min
+
+    monkeypatch.setattr(transport, "_reprice", no_entering_arc)

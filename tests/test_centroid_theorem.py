@@ -18,6 +18,7 @@ import pytest
 
 from conftest import block_diagonal_q, random_mixture
 from mospa import (
+    DiscreteMeasure,
     build_region_measure,
     estimate_region_masses,
     gm_sample,
@@ -39,13 +40,17 @@ def transport_centroid(samples, x_hat, q=None):
     """x̂ rebuilt from the optimal plan to its own region measure."""
     n, d = x_hat.n_targets, x_hat.state_dim
     nu = build_region_measure(x_hat, estimate_region_masses(samples, x_hat, q))
-    flows = solve_transport(samples, nu, q).plan.flows
+    # solved on the atoms that carry mass, as solve_transport would keep them:
+    # at n = 8 all 8! atoms would exceed its dense cap
+    kept = np.flatnonzero(nu.masses > 0)
+    support = DiscreteMeasure(n, d, nu.atoms[kept], nu.masses[kept])
+    flows = solve_transport(samples, support, q).plan.flows
     inv = np.argsort(permutation_array(n), axis=1)
     forms = np.broadcast_to(np.eye(d), (n, d, d)) if q is None else target_block_forms(q, n, d)
     lhs = np.zeros((n, d, d))
     rhs = np.zeros((n, d))
-    for p in np.flatnonzero(nu.masses > 0):
-        bary = (flows[:, p] @ samples.points / flows[:, p].sum()).reshape(n, d)
+    for col, p in enumerate(kept):
+        bary = (flows[:, col] @ samples.points / flows[:, col].sum()).reshape(n, d)
         # atom p puts x̂ block perm[p][i] in slot i, so x̂ block j meets
         # sample block inv[p][j]
         src = inv[p]
@@ -75,6 +80,7 @@ CASES = {
     "n4-d2-q": lambda: _random_case(42, 4, 2, 600, True),
     "n5-d1": lambda: _random_case(51, 5, 1, 500, False),
     "n5-d1-q": lambda: _random_case(52, 5, 1, 500, True),
+    "eight_targets": lambda: _scenario_case("eight_targets.json", 1000, False),
 }
 
 

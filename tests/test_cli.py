@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, stop_at_the_start
 from mospa import (
     DegenerateEstimateWarning,
     StackedState,
     estimate_region_masses,
     gm_sample,
+    mospa_mc,
     parse_scenario,
 )
 
@@ -274,7 +275,19 @@ def _nonfinite_mmospa(monkeypatch):
     return ["mmospa"], "non-finite"
 
 
-@pytest.mark.parametrize("fault", [_simplex_pivot_limit, _shifted_duals, _nonfinite_mmospa])
+def _simplex_stopped_at_its_start(monkeypatch):
+    stop_at_the_start(monkeypatch)
+    return ["wasserstein", "--x-hat=-4,3"], "reduced cost"
+
+
+def _verify_stopped_at_its_start(monkeypatch):
+    _simplex_stopped_at_its_start(monkeypatch)
+    return ["verify", "--x-hat=-4,3"], "reduced cost"
+
+
+@pytest.mark.parametrize("fault", [_simplex_pivot_limit, _shifted_duals, _nonfinite_mmospa,
+                                   _simplex_stopped_at_its_start,
+                                   _verify_stopped_at_its_start])
 def test_exit_2_on_solver_error(fault, monkeypatch, tmp_path, capsys):
     import mospa.cli as cli
 
@@ -404,7 +417,7 @@ def test_nine_targets_exit_1_before_region_masses(command, monkeypatch, tmp_path
     assert err.startswith("validation error: ") and "target count 9" in err
 
 
-@pytest.mark.parametrize("command", ["masses", "wasserstein", "prop1", "mmospa"])
+@pytest.mark.parametrize("command", ["masses", "wasserstein", "prop1"])
 def test_nine_targets_exit_1_before_sampling(command, monkeypatch, tmp_path, capsys):
     import mospa.cli as cli
 
@@ -425,6 +438,26 @@ def test_nine_targets_exit_1_before_sampling(command, monkeypatch, tmp_path, cap
     err = capsys.readouterr().err
     assert err == ("validation error: target count 9 outside [1, 8]; enumeration is "
                    "factorial (8! = 40320 permutations)\n")
+
+
+@pytest.mark.parametrize("name, samples", [("nine_targets.json", 200),
+                                           ("thirteen_targets.json", 40)])
+def test_mmospa_above_eight_targets_exits_0(name, samples, tmp_path, capsys):
+    import mospa.cli as cli
+
+    # no enumeration cap: the assignment kernel aligns nine targets, and the
+    # per-sample route thirteen; the objective is MOSPA at the estimate
+    path = str(Path(FIG).parent / name)
+    out = tmp_path / "estimate.csv"
+    assert cli.run(["mmospa", "--scenario", path, "--samples", str(samples),
+                    "--output", str(out)]) == 0
+    summary = dict(kv.split("=") for kv in capsys.readouterr().err.split("] ")[1].split())
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    sc = parse_scenario(path)
+    x_hat = StackedState.from_blocks(rows[:, 1:])
+    assert x_hat.n_targets == sc.n_targets
+    emp = gm_sample(sc.mixture, sc.seed, samples)
+    assert float(summary["empirical_mospa"]) == mospa_mc(emp, x_hat).value
 
 
 @pytest.mark.parametrize("mode", ["same-sample", "independent"])

@@ -21,6 +21,7 @@ from mospa import (
     scalar_sort_oracle,
 )
 from mospa import estimation, quadform, rng as mospa_rng
+from mospa.assignment import _kernel_words, batch_optimal_permutations
 from mospa.quadform import point_cost_matrix, row_chunks, target_block_forms
 from mospa.states import _atom_index_matrix, permutation_array
 
@@ -31,7 +32,19 @@ WEIGHTED_SCENARIO = SCENARIOS / "weighted_pair.json"
 
 # The descent step as two passes, an alignment sweep over the whole sample and
 # then an average of the aligned sample: the reference that estimation._step
-# must match bit for bit.
+# must match bit for bit.  Its alignment is a dense argmin over the n!
+# permuted estimates at two targets, and one batch_optimal_permutations call
+# on the whole sample at any other count; the dense argmin is also an
+# independent route there, equal up to the kernel's tie band and summation.
+def _blocked_sum(weights, low):
+    """sum_i w[i] * low[i], summed over fixed blocks, whatever the chunks were."""
+    obj = 0.0
+    _CHUNK = estimation._CHUNK
+    for lo in range(0, len(low), _CHUNK):
+        obj += float(np.sum(weights[lo:lo + _CHUNK] * low[lo:lo + _CHUNK]))
+    return obj
+
+
 def _alignment_pass(points, weights, atoms, q):
     """One sweep over the samples: the objective and the best atom per sample."""
     m = points.shape[0]
@@ -42,11 +55,26 @@ def _alignment_pass(points, weights, atoms, q):
         best[lo:hi] = costs.argmin(axis=1)  # first minimum = lexicographic
         # the minima, read at the argmin: cheaper than a min over a short axis
         low[lo:hi] = costs[np.arange(hi - lo), best[lo:hi]]
-    obj = 0.0  # summed over fixed blocks, whatever the cost chunks were
-    _CHUNK = estimation._CHUNK
-    for lo in range(0, m, _CHUNK):
-        obj += float(np.sum(weights[lo:lo + _CHUNK] * low[lo:lo + _CHUNK]))
-    return obj, best
+    return _blocked_sum(weights, low), best
+
+
+def _dense_alignment(points, weights, xh, n, d, q):
+    """The objective of xh and each slot's source block per sample, by the
+    argmin over the n! permuted estimates."""
+    obj, best = _alignment_pass(points, weights, xh[_atom_index_matrix(n, d)], q)
+    return obj, np.argsort(permutation_array(n), axis=1)[best]
+
+
+def _kernel_alignment(points, weights, xh, n, d, q):
+    """The objective of xh and each slot's source block per sample, by one
+    batch_optimal_permutations call: slot j takes the block that maps to j."""
+    mappings, costs = batch_optimal_permutations(points, StackedState(n, d, xh), q)
+    return _blocked_sum(weights, costs), np.argsort(mappings, axis=1)
+
+
+def _reference_alignment(points, weights, xh, n, d, q):
+    route = _dense_alignment if n == 2 else _kernel_alignment
+    return route(points, weights, xh, n, d, q)
 
 
 def _average_step(points, weights, src, n_targets, state_dim, forms):
@@ -101,15 +129,21 @@ def _solve_normal_equations(wsum, xsum, forms):
 
 
 def _assert_step_matches_the_reference(args):
-    points, weights, atoms, inv_perms, n, d, q, forms = args
-    obj, best = _alignment_pass(points, weights, atoms, q)
-    nxt = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+    points, weights, xh, n, d, q, forms = args
+    obj, src = _reference_alignment(points, weights, xh, n, d, q)
+    nxt = _average_step(points, weights, src, n, d, forms).reshape(-1)
     step_obj, step_nxt = estimation._step(*args)
     assert step_obj.hex() == obj.hex()
     assert np.array_equal(step_nxt, nxt)
     if forms is not None:
-        whole = _whole_sample_normal_equations(points, weights, inv_perms[best], n, d, forms)
+        whole = _whole_sample_normal_equations(points, weights, src, n, d, forms)
         assert np.allclose(step_nxt, whole.reshape(-1), rtol=1e-12, atol=0)
+    if n != 2:  # the independent route: the same alignment, stacked distances
+        dense_obj, dense_src = _dense_alignment(points, weights, xh, n, d, q)
+        assert np.array_equal(_average_step(points, weights, dense_src, n, d, forms).reshape(-1),
+                              step_nxt)
+        assert step_obj == pytest.approx(dense_obj, rel=1e-12, abs=0)
+    return step_nxt
 
 
 def test_mospa_zero_when_samples_equal_estimate():
@@ -246,19 +280,19 @@ def _step_args(rng, n, d, m, weighted):
     q = block_diagonal_q(rng, n, d) if weighted else None
     forms = None if q is None else target_block_forms(q, n, d)
     points = gm_sample(random_mixture(rng, n, d, 3), seed=n + d, m=m).points
-    atoms = rng.normal(size=n * d, scale=3.0)[_atom_index_matrix(n, d)]
-    inv_perms = np.argsort(permutation_array(n), axis=1)
-    return points, normalized_weights(rng, m), atoms, inv_perms, n, d, q, forms
+    xh = rng.normal(size=n * d, scale=3.0)
+    return points, normalized_weights(rng, m), xh, n, d, q, forms
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_step_is_independent_of_the_cost_chunk(monkeypatch, weighted):
+    # three targets: the chunks are the assignment kernel's
     rng = np.random.default_rng(90)
     args = _step_args(rng, 3, 2, 5000, weighted)
-    atoms = args[2]
-    assert len(list(row_chunks(5000, atoms.size))) == 1
+    words = _kernel_words(3, 2)
+    assert len(list(row_chunks(5000, words))) == 2
     obj, nxt = estimation._step(*args)
-    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * atoms.size * 7)  # 7 rows a chunk
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * words * 7)  # 7 samples a chunk
     chunked_obj, chunked_nxt = estimation._step(*args)
     assert chunked_obj.hex() == obj.hex()
     assert np.array_equal(chunked_nxt, nxt)
@@ -268,8 +302,7 @@ def test_step_is_independent_of_the_cost_chunk(monkeypatch, weighted):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_step_matches_the_two_pass_reference(monkeypatch, n, d, weighted):
-    # 700-sample blocks: three full ones and a partial last one; at n = 5,
-    # d = 2 each block also spans several cost chunks, the last one partial
+    # 700-sample blocks: three full ones and a partial last one
     monkeypatch.setattr(estimation, "_CHUNK", 700)
     args = _step_args(np.random.default_rng(10 * n + d), n, d, 2500, weighted)
     _assert_step_matches_the_reference(args)
@@ -277,11 +310,15 @@ def test_step_matches_the_two_pass_reference(monkeypatch, n, d, weighted):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_step_takes_the_first_of_tied_atoms(monkeypatch, weighted):
-    # every estimate block equal, so all 3! atoms tie on every sample
+    # every estimate block equal, so all 3! alignments tie on every sample,
+    # and each takes the first, the identity
     monkeypatch.setattr(estimation, "_CHUNK", 700)
     args = list(_step_args(np.random.default_rng(96), 3, 2, 2500, weighted))
-    args[2] = np.tile(args[2][0, :2], (6, 3))
-    _assert_step_matches_the_reference(args)
+    args[2] = np.tile(args[2][:2], 3)
+    points, weights, _, n, d, _, forms = args
+    identity = np.tile(np.arange(n), (len(points), 1))
+    expected = _average_step(points, weights, identity, n, d, forms).reshape(-1)
+    assert np.array_equal(_assert_step_matches_the_reference(args), expected)
 
 
 _SPECIAL_PAIRS = {
@@ -303,7 +340,7 @@ def test_two_atom_step_takes_argmins_index(monkeypatch, kind, weighted):
     # of tied atoms, atom 0 at a NaN in c0, atom 1 at a NaN in c1 alone
     rng = np.random.default_rng(97)
     args = _step_args(rng, 2, 1, 2500, weighted)
-    points, weights, atoms, inv_perms, n, d, q, forms = args
+    points, weights, _, n, d, q, forms = args
     m = len(points)
     table = rng.exponential(size=(m, 2))
     if _SPECIAL_PAIRS[kind]:  # about half the rows
@@ -319,7 +356,7 @@ def test_two_atom_step_takes_argmins_index(monkeypatch, kind, weighted):
 
     monkeypatch.setattr(estimation, "point_cost_matrix", crafted)
     monkeypatch.setattr(estimation, "_CHUNK", 700)
-    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * atoms.size * 97)  # 97 rows a chunk
+    monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * 2 * n * d * 97)  # 97 rows a chunk
     step_obj, step_nxt = estimation._step(*args)
     # 8 row chunks in each full 700-row block, 5 in the last, every row once
     assert len(served) == 29 and sum(r for _, r in served) == m
@@ -329,7 +366,8 @@ def test_two_atom_step_takes_argmins_index(monkeypatch, kind, weighted):
     obj = 0.0
     for lo in range(0, m, 700):
         obj += float(np.sum(weights[lo:lo + 700] * low[lo:lo + 700]))
-    nxt = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
+    src = np.argsort(permutation_array(n), axis=1)[best]
+    nxt = _average_step(points, weights, src, n, d, forms).reshape(-1)
     assert step_obj.hex() == obj.hex()
     assert np.array_equal(step_nxt, nxt)
 
@@ -370,8 +408,7 @@ def test_weighted_step_memory_is_bounded_by_the_chunk():
     emp = gm_sample(sc.mixture, sc.seed, 1_000_000)
     n, d = sc.n_targets, sc.state_dim
     x_hat = StackedState(n, d, [-2.0, 1.0, 2.0, -1.0])
-    args = (emp.points, emp.weights, x_hat.data[_atom_index_matrix(n, d)],
-            np.argsort(permutation_array(n), axis=1), n, d, sc.q_matrix,
+    args = (emp.points, emp.weights, x_hat.data, n, d, sc.q_matrix,
             target_block_forms(sc.q_matrix, n, d))
     tracemalloc.start()
     try:
@@ -464,6 +501,33 @@ def test_mmospa_weighted_scalar_pair_run_is_pinned():
         "0x1.b1dacb200fdbcp+1", "0x1.b1dacb200fdbcp+1"]
 
 
+def test_mmospa_five_target_run_is_pinned():
+    # five planar targets, aligned by the assignment kernel; bits recorded
+    # from the kernel step, whose objective is mospa_mc's at the estimate
+    rng = np.random.default_rng(55)
+    emp = gm_sample(random_mixture(rng, 5, 2, 3), seed=7, m=3000)
+    res = mmospa_estimate(emp, config=MmospaConfig(seed=5, restarts=4))
+    assert [v.hex() for v in res.estimate.data] == [
+        "-0x1.0299e762a29acp+2", "-0x1.401a64ffb83d7p+1", "-0x1.1e39dfb16e058p+0",
+        "0x1.0a80f93a10c06p+2", "0x1.4a6cc4260c5eap-1", "-0x1.7928f61e651bdp+2",
+        "0x1.c6e8f3325a11ap-1", "-0x1.b76e3d2d17e49p-1", "0x1.800f699ee504ap+2",
+        "-0x1.f92416c464255p-1"]
+    assert (res.iterations, res.converged, res.restarts_used) == (28, True, 4)
+    assert res.empirical_mospa.hex() == "0x1.c5f4c2d712aa6p+6"
+    assert [v.hex() for v in res.descent_trace] == [
+        "0x1.00b4b2a44ca75p+7", "0x1.db61c7e4349fdp+6", "0x1.cb60899267fdap+6",
+        "0x1.c9174e5187f1dp+6", "0x1.c836eb5773724p+6", "0x1.c7886afe457dcp+6",
+        "0x1.c70d1ff462234p+6", "0x1.c6c1464382fbdp+6", "0x1.c68dc1b86c294p+6",
+        "0x1.c66cc61ecf14cp+6", "0x1.c651ec444a6cap+6", "0x1.c63e5420801fap+6",
+        "0x1.c62cb90030527p+6", "0x1.c61d8fefdf7cap+6", "0x1.c61370bc6b8abp+6",
+        "0x1.c60bdddaf7541p+6", "0x1.c60500cdf2950p+6", "0x1.c5fdbb6c027eap+6",
+        "0x1.c5f800c236608p+6", "0x1.c5f652182330ap+6", "0x1.c5f5b9dc048bap+6",
+        "0x1.c5f59bab9ff8bp+6", "0x1.c5f5178e3facep+6", "0x1.c5f4da01ab09cp+6",
+        "0x1.c5f4c7888f738p+6", "0x1.c5f4c45630df4p+6", "0x1.c5f4c2d712aa6p+6",
+        "0x1.c5f4c2d712aa6p+6"]
+    assert mospa_mc(emp, res.estimate).value.hex() == res.empirical_mospa.hex()
+
+
 def test_weighted_mospa_mc_is_pinned():
     # the weighted scenario's d = 2 block costs under its slot forms; bits
     # recorded from the einsum kernel
@@ -487,7 +551,7 @@ def _record_starts(monkeypatch):
 
 
 def _count_sweeps(monkeypatch):
-    """Spy on the descent step; returns the list of the swept atoms' bytes."""
+    """Spy on the descent step; returns the list of the swept estimates' bytes."""
     calls = []
     sweep = estimation._step
 
@@ -499,15 +563,15 @@ def _count_sweeps(monkeypatch):
     return calls
 
 
-def _unmerged(points, weights, x0, n, d, atom_idx, inv_perms, q, forms, cfg):
+def _unmerged(points, weights, x0, n, d, q, forms, cfg):
     """The descent of one restart with every step swept: (estimate, trace,
     converged)."""
     xh = np.asarray(x0, dtype=float).reshape(-1)
-    obj_prev, best = _alignment_pass(points, weights, xh[atom_idx], q)
+    obj_prev, src = _reference_alignment(points, weights, xh, n, d, q)
     trace, converged = [], False
     for _ in range(cfg.max_iters):
-        xh = _average_step(points, weights, inv_perms[best], n, d, forms).reshape(-1)
-        obj, best = _alignment_pass(points, weights, xh[atom_idx], q)
+        xh = _average_step(points, weights, src, n, d, forms).reshape(-1)
+        obj, src = _reference_alignment(points, weights, xh, n, d, q)
         trace.append(obj)
         if obj_prev - obj < estimation._TOL:
             converged = True
@@ -543,7 +607,7 @@ def test_mmospa_merged_restarts_match_the_unmerged_descent(monkeypatch, n, d, we
         sweeps.clear()
         res = mmospa_estimate(emp, config=MmospaConfig(max_iters=max_iters, seed=n * d, restarts=8),
                               q=q)
-        runs = [_unmerged(*args[:10]) for args in starts]
+        runs = [_unmerged(*args[:8]) for args in starts]
         assert len(runs) == 8
         objs = [trace[-1] for _, trace, _ in runs]
         assert [(o.objective, o.iterations, o.converged) for o in res.restart_outcomes] == [

@@ -10,6 +10,7 @@ from conftest import (
     normalized_weights,
     random_mixture,
     random_x_hat,
+    stop_at_the_start,
     two_mode_mixture,
 )
 from mospa import (
@@ -407,6 +408,16 @@ def test_independent_verify_checks_the_certificate(monkeypatch, fig_mixture, fig
         verify_mospa_wasserstein(scen, fig_x_hat, mode="independent")
 
 
+def test_a_simplex_stopped_at_its_start_fails_the_certificate(monkeypatch):
+    emp, nu, q = _same_sample_instance(41, 5, 1, 300, False)
+    sol = solve_transport(emp, nu, q)
+    assert sol.pivots == 59 and sol.dual_infeasibility <= 1e-12 * sol.cost
+    stop_at_the_start(monkeypatch)
+    # the gap check alone passes this tree; its reduced costs do not
+    with pytest.raises(RuntimeError, match="optimality certificate failed: reduced cost -"):
+        solve_transport(emp, nu, q)
+
+
 def _same_sample_instance(seed, n, d, m, with_q):
     rng = np.random.default_rng(seed)
     mixture = random_mixture(rng, n, d)
@@ -458,6 +469,8 @@ def test_pivot_path_is_pinned(build, pivots, cost_hex):
     slack = cost - sol.source_potentials[:, None] - sol.sink_potentials[None, keep]
     assert np.abs(slack[sol.plan.flows[:, keep] > 0]).max() <= tol
     assert slack.min() >= -tol
+    assert 0.0 <= sol.dual_infeasibility <= tol
+    assert sol.dual_infeasibility == pytest.approx(max(0.0, -slack.min()), rel=0, abs=tol)
     assert 0.0 <= sol.dual_gap <= 1e-7 * max(1.0, sol.cost)
     assert 0.0 < sol.perturbation <= 1e-11 / len(sources) ** 2
 
