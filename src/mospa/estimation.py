@@ -170,7 +170,8 @@ def _step(points, weights, xh, n, d, q, forms):
             src = _PAIR_SOURCES.take(arg, axis=0)
         else:
             mappings, low = batch_optimal_permutations(points[lo:hi], estimate, q)
-            src = mappings.argsort(axis=1)
+            src = np.empty((hi - lo, n), dtype=np.intp)  # the inverse mappings
+            np.put_along_axis(src, mappings, np.arange(n), axis=1)
         w_blk = weights[lo:hi]
         obj += float(np.sum(w_blk * low))
         if forms is None:

@@ -3,18 +3,19 @@
 solve_transport runs a primal transportation simplex on the dense bipartite
 instance: greedy capacity-respecting initialization, Dantzig entering rule,
 and randomized marginal perturbation against degenerate cycling.  The basis
-is one tree, held as per-node neighbour lists (sources 0..m-1, sinks
-m..m+k-1): the greedy arcs are joined into it, each pivot swaps one arc and
-re-roots only the subtree the leaving arc cuts off, recomputing that
-subtree's potentials alone, and the optimal basis is re-solved against the
-unperturbed marginals by peeling its leaves, so the reported plan and cost
-carry no perturbation.  Pricing keeps each source row's least reduced cost
-and its first column, never the whole reduced-cost matrix: after a pivot the
-re-rooted rows are recomputed, and every other row compares its cached
-minimum with the re-rooted columns, read from a transposed copy of the
-costs.  No entropic or otherwise approximate scheme is involved anywhere;
-optimality is certified before returning: by dual feasibility, checked from
-the costs, and by the dual gap (complementary slackness up to rounding).
+is one tree over sources 0..m-1 and sinks m..m+k-1, rooted at sink 0 and held
+in preorder arrays (node order, position, parent, subtree size), so the
+subtree that a leaving arc cuts off is one slice of the order.  A pivot
+reverses the parents along the stem from the entering arc to the cut,
+rebuilds the slice from the stem's pieces, moves it after its new parent,
+and shifts its potentials by one constant; one pass from the root recomputes
+every potential from the costs after the last pivot.  The optimal basis is
+re-solved on the unperturbed marginals by peeling its leaves, so the plan
+carries no perturbation.  Pricing keeps each source row's least reduced cost
+and its first column: after a pivot the slice's rows are recomputed, and the
+other rows compare their cached minimum with the slice's columns.  Nothing is
+approximate; optimality is certified before returning, by dual feasibility
+checked from the costs and by the dual gap.
 """
 
 from __future__ import annotations
@@ -195,46 +196,33 @@ def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
         home_sinks += sinks
 
 
-def _hang(top, adj, pred, pot, cost, m):
-    """Set pred and potentials below `top`, whose own are already set,
-    walking the basis tree top-down away from pred[top]; returns the nodes
-    of the subtree, `top` first.  Each potential follows u_i + v_j = c_ij from
-    its parent, so it depends only on the node's path to the root.  Leaves
-    are not pushed: they have no children to visit."""
+def _plant(adj, cost, m):
+    """The basis tree adj hung from the root m (sink 0), as preorder arrays
+    (order, at, pred, size, pot): the nodes in preorder, each node's index in
+    order, its parent, its subtree's size and its potential.  Each potential
+    follows u_i + v_j = c_ij from its parent's, so it depends only on the
+    node's path to the root."""
     item = cost.item
-    nodes = [top]
-    stack = [top]
+    pred, pot = [m] * len(adj), [0.0] * len(adj)
+    order, stack = [], [m]
     while stack:
         x = stack.pop()
-        px = pred[x]
-        pot_x = pot.item(x)
+        order.append(x)
+        px, pot_x = pred[x], pot[x]
         for y in adj[x]:
             if y != px:
                 pred[y] = x
                 pot[y] = (item(y, x - m) if x >= m else item(x, y - m)) - pot_x
-                nodes.append(y)
-                if len(adj[y]) > 1:
-                    stack.append(y)
-    return nodes
-
-
-def _path_to_root(node, pred, m):
-    path = [node]
-    while node != m:
-        node = pred[node]
-        path.append(node)
-    return path
-
-
-def _cycle_nodes(enter_i, enter_j, pred, m):
-    """Node sequence enter_i .. LCA .. (m+enter_j) through the basis tree.
-    Both paths end at the root m, so they always meet."""
-    path_a = _path_to_root(enter_i, pred, m)
-    path_b = _path_to_root(m + enter_j, pred, m)
-    pos = {node: idx for idx, node in enumerate(path_a)}
-    for bi, node in enumerate(path_b):
-        if node in pos:
-            return path_a[: pos[node] + 1] + path_b[:bi][::-1]
+                stack.append(y)
+    if len(order) != len(adj):
+        raise RuntimeError("basis graph is not spanning")
+    size = [1] * len(adj)
+    for x in reversed(order[1:]):
+        size[pred[x]] += size[x]
+    order, pred, size = (np.array(x, dtype=np.intp) for x in (order, pred, size))
+    at = np.empty_like(order)
+    at[order] = np.arange(len(adj))
+    return order, at, pred, size, np.array(pot)
 
 
 def _perturbation(a):
@@ -269,16 +257,16 @@ def _transportation_simplex(cost, a, b):
         adj[i].append(m + j)
         adj[m + j].append(i)
     _complete_to_tree(adj, arc_i, arc_j, flow, cost)
-    arc_pos = {(i, j): p for p, (i, j) in enumerate(zip(arc_i, arc_j))}
     arc_i = np.asarray(arc_i, dtype=np.intp)
     arc_j = np.asarray(arc_j, dtype=np.intp)
     flows_b = np.asarray(flow, dtype=float)
 
-    pred = [m] * (m + k)
-    pot = np.zeros(m + k)
-    u, v = pot[:m], pot[m:]  # views: _hang writes the potentials in place
-    if len(_hang(m, adj, pred, pot, cost, m)) != m + k:
-        raise RuntimeError("basis graph is not spanning")
+    # the basis tree in preorder arrays, kept current by every pivot
+    order, at, pred, size, pot = _plant(adj, cost, m)
+    up_arc = np.empty(m + k, dtype=np.intp)  # the basis arc to each node's parent
+    up_arc[np.where(pred[arc_i] == m + arc_j, arc_i, m + arc_j)] = np.arange(arc_i.size)
+    u, v = pot[:m], pot[m:]  # views: the pivots shift the potentials in place
+    sign = np.repeat([1.0, -1.0], [m, k])  # sources +1, sinks -1
     # Dantzig pricing by row: each row's least reduced cost (c_ij - u_i) - v_j,
     # basis arcs counted as 0, and its first column at that value, so the
     # entering arc is the row-major first minimum of the whole matrix
@@ -298,39 +286,71 @@ def _transportation_simplex(cost, a, b):
         if pivots > max_pivots:
             raise RuntimeError(f"transportation simplex exceeded {max_pivots} pivots")
 
-        nodes = _cycle_nodes(ei, ej, pred, m)
+        # the cycle ei .. apex .. m+ej: the apex is the first node up from ei
+        # whose preorder slice holds m+ej
+        up, down, pos = [ei], [m + ej], at.item(m + ej)
+        while not 0 <= pos - at.item(up[-1]) < size.item(up[-1]):
+            up.append(pred.item(up[-1]))
+        while down[-1] != up[-1]:
+            down.append(pred.item(down[-1]))
+        apex = len(up) - 1
         # arcs along the walk alternate -theta, +theta starting at the arc
         # leaving the entering source; the entering arc itself carries +theta
-        cycle_arcs = [arc_pos[(x, y - m) if x < m else (y, x - m)]
-                      for x, y in zip(nodes, nodes[1:])]
-        theta_pos = min(cycle_arcs[::2], key=lambda p: (flows_b[p], p))
+        cycle_arcs = up_arc[up[:-1] + down[-2::-1]]
+        minus = cycle_arcs[::2].tolist()
+        theta_pos = min(minus, key=lambda p: (flows_b.item(p), p))
         theta = flows_b[theta_pos]
         flows_b[cycle_arcs[::2]] -= theta
         flows_b[cycle_arcs[1::2]] += theta
         # swap the leaving arc for the entering one, in place
         li, lj = int(arc_i[theta_pos]), int(arc_j[theta_pos])
-        del arc_pos[(li, lj)]
         arc_i[theta_pos] = ei
         arc_j[theta_pos] = ej
         flows_b[theta_pos] = theta
-        arc_pos[(ei, ej)] = theta_pos
-
-        # the leaving arc cuts off the subtree below it; re-hang that subtree
-        # from the entering arc's endpoint inside it, the entering source when
-        # the leaving arc lies on the source's way up to the cycle's apex
-        t = cycle_arcs.index(theta_pos)
-        top, parent = (ei, m + ej) if pred[nodes[t]] == nodes[t + 1] else (m + ej, ei)
         adj[li].remove(m + lj)
         adj[m + lj].remove(li)
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
+
+        # the leaving arc cuts off its lower end's subtree, which re-hangs from
+        # the entering arc: the stem, from the entering endpoint inside it (the
+        # source when the leaving arc is on the source's way up to the apex) up
+        # to that lower end, reverses, and the ancestors below the apex change
+        t = 2 * minus.index(theta_pos)
+        path = np.array(up + down[-2::-1])
+        if t < apex:
+            stem, parent, lose, gain = path[:t + 1], m + ej, path[t + 1:apex], path[apex + 1:]
+        else:
+            stem, parent, lose, gain = path[:t:-1], ei, path[apex + 1:t + 1], path[:apex]
+        top, old = int(stem[0]), size[stem]
+        inner = np.concatenate(([0], old[:-1]))  # the subtree of the stem node below
+        first, end = at[stem].tolist(), (at[stem] + old).tolist()
+        # the slice's new preorder, top's subtree and then each stem node's
+        # kept part, goes just after parent; what lies in between moves over
+        pieces = [order[first[0]:end[0]]]
+        for x in range(1, len(stem)):
+            pieces += [order[first[x]:first[x - 1]], order[end[x - 1]:end[x]]]
+        lo, hi, dest = first[-1], end[-1], at.item(parent) + 1
+        span = slice(min(dest, lo), max(dest, hi))
+        order[span] = np.concatenate(pieces + [order[dest:lo]] if dest <= lo
+                                     else [order[hi:dest]] + pieces)
+        at[order[span]] = np.arange(span.start, span.stop)
+        sub = order[dest:dest + hi - lo] if dest <= lo else order[dest - hi + lo:dest]
+        size[stem] = hi - lo - inner
+        size[lose] -= hi - lo
+        size[gain] += hi - lo
+        pred[stem[1:]] = stem[:-1]
         pred[top] = parent
-        pot[top] = cost.item(ei, ej) - pot.item(parent)
-        sub = np.array(_hang(top, adj, pred, pot, cost, m))
+        up_arc[stem[1:]] = up_arc[stem[:-1]]
+        up_arc[top] = theta_pos
+        # sources shift by the change at top and sinks by its negative (swapped
+        # if top is a sink); the final recompute drops the rounding drift
+        shift = (cost.item(ei, ej) - pot.item(parent) - pot.item(top)) * sign.item(top)
+        pot[sub] += sign[sub] * shift
         _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg)
 
-    flows = _resolve_tree_flows(adj, a, b, m, k)
-    return flows, u, v, pivots
+    pot = _plant(adj, cost, m)[-1]  # every potential afresh from the costs
+    return _resolve_tree_flows(adj, a, b, m, k), pot[:m], pot[m:], pivots
 
 
 def _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg):

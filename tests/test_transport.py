@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,8 +38,6 @@ from mospa.quadform import point_cost_matrix
 from mospa.states import permuted_atoms
 from mospa.transport import (
     _complete_to_tree,
-    _cycle_nodes,
-    _hang,
     _perturbation,
     _resolve_tree_flows,
     _transportation_simplex,
@@ -515,6 +514,50 @@ def _masked_greedy_basis(cost, a, b):
     return arc_i, arc_j, flow
 
 
+# the reference's own tree walk, on neighbour lists: it shares no tree code
+# with the solver's preorder arrays, so it does not run the code it checks
+def _hang(top, adj, pred, pot, cost, m):
+    """Set pred and potentials below `top`, whose own are already set,
+    walking the basis tree top-down away from pred[top]; returns the nodes
+    of the subtree, `top` first.  Each potential follows u_i + v_j = c_ij from
+    its parent, so it depends only on the node's path to the root.  Leaves
+    are not pushed: they have no children to visit."""
+    item = cost.item
+    nodes = [top]
+    stack = [top]
+    while stack:
+        x = stack.pop()
+        px = pred[x]
+        pot_x = pot.item(x)
+        for y in adj[x]:
+            if y != px:
+                pred[y] = x
+                pot[y] = (item(y, x - m) if x >= m else item(x, y - m)) - pot_x
+                nodes.append(y)
+                if len(adj[y]) > 1:
+                    stack.append(y)
+    return nodes
+
+
+def _path_to_root(node, pred, m):
+    path = [node]
+    while node != m:
+        node = pred[node]
+        path.append(node)
+    return path
+
+
+def _cycle_nodes(enter_i, enter_j, pred, m):
+    """Node sequence enter_i .. LCA .. (m+enter_j) through the basis tree.
+    Both paths end at the root m, so they always meet."""
+    path_a = _path_to_root(enter_i, pred, m)
+    path_b = _path_to_root(m + enter_j, pred, m)
+    pos = {node: idx for idx, node in enumerate(path_a)}
+    for bi, node in enumerate(path_b):
+        if node in pos:
+            return path_a[: pos[node] + 1] + path_b[:bi][::-1]
+
+
 def dense_pricing_simplex(cost, a, b):
     """Reference transportation simplex that prices from a dense (m, k)
     reduced-cost matrix: the rows and columns of the re-hung nodes are
@@ -638,3 +681,58 @@ def test_simplex_memory_is_a_few_cost_matrices(region_problem):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * cost.nbytes
+
+
+def _assert_preorder(tree):
+    """The basis tree's preorder arrays agree with each other and with its
+    arcs: order and at are inverse, size follows pred, every child's slice
+    nests inside its parent's after the parent (with the sizes, each subtree
+    is one slice), pred's edges are the basis arcs, and the potentials close
+    every basis arc."""
+    order, at, pred, size = (tree[name] for name in ("order", "at", "pred", "size"))
+    m, nodes = tree["m"], order.size
+    assert np.array_equal(np.sort(order), np.arange(nodes))
+    assert np.array_equal(at[order], np.arange(nodes))
+    assert order[0] == m and size[m] == nodes
+    child = np.delete(np.arange(nodes), m)
+    parent = pred[child]
+    children = np.zeros(nodes, dtype=np.intp)
+    np.add.at(children, parent, size[child])
+    assert np.array_equal(size, 1 + children)
+    assert np.all(at[parent] < at[child])
+    assert np.all(at[child] + size[child] <= at[parent] + size[parent])
+    edges = {(min(x, y), max(x, y)) for x, y in zip(child.tolist(), parent.tolist())}
+    assert edges == set(zip(tree["arc_i"].tolist(), (m + tree["arc_j"]).tolist()))
+    cost, pot = tree["cost"], tree["pot"]
+    slack = cost[tree["arc_i"], tree["arc_j"]] - pot[tree["arc_i"]] - pot[m + tree["arc_j"]]
+    assert np.abs(slack).max() <= 1e-12 * max(1.0, float(cost.max()))
+
+
+def walk_every_basis(monkeypatch):
+    """Check the simplex's tree arrays on its first basis and after every
+    pivot, through the pricing refresh that follows each, which reads them
+    from the caller's frame; returns the list that counts the checks."""
+    reprice, checked = transport._reprice, []
+
+    def checking(*args):
+        _assert_preorder(sys._getframe(1).f_locals)
+        checked.append(1)
+        reprice(*args)
+
+    monkeypatch.setattr(transport, "_reprice", checking)
+    return checked
+
+
+def test_preorder_arrays_hold_after_every_pivot_of_a_region_problem(monkeypatch,
+                                                                     region_problem):
+    checked = walk_every_basis(monkeypatch)
+    pivots = _transportation_simplex(*region_problem)[3]
+    assert pivots >= 100 and len(checked) == pivots + 1
+
+
+@pytest.mark.parametrize("build", [_lone_sink, _duplicate_grid_assignment],
+                         ids=["lone-sink", "duplicate-grid"])
+def test_preorder_arrays_hold_after_every_pivot(monkeypatch, build):
+    checked = walk_every_basis(monkeypatch)
+    sol = solve_transport(*build())
+    assert sol.pivots > 0 and len(checked) == sol.pivots + 1
