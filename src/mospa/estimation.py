@@ -30,7 +30,7 @@ import numpy as np
 from . import rng
 from .assignment import _check_compatible, batch_optimal_permutations
 from .measures import EmpiricalMeasure
-from .quadform import point_cost_matrix, row_chunks, target_block_forms
+from .quadform import point_cost_matrix, target_block_forms
 from .states import StackedState, _atom_index_matrix
 
 _CHUNK = 1 << 16
@@ -138,10 +138,10 @@ def _step(points, weights, xh, n, d, q, forms):
     to xh and adds its weighted minimum costs to the objective.  Except at
     two targets the mappings and costs are batch_optimal_permutations's, and
     slot j takes the sample block that the inverse mapping names.  At two
-    targets each quadform.row_chunks chunk is scored against both permuted
-    estimates; the index is 1 where not c1 >= c0 and c0 is not NaN: a tie
-    and a NaN c0 go to atom 0 and a NaN c1 alone to atom 1, argmin's rule
-    (its first minimum, or its first NaN).
+    targets one point_cost_matrix call scores the block against both
+    permuted estimates; the index is 1 where not c1 >= c0 and c0 is not NaN:
+    a tie and a NaN c0 go to atom 0 and a NaN c1 alone to atom 1, argmin's
+    rule (its first minimum, or its first NaN).
     Without slot weight matrices F_i it adds its weighted aligned sample
     blocks to the average.  With them it adds to the weight sum W_ji and the
     weighted block sum S_ji of the samples whose block i it assigns to slot
@@ -160,13 +160,10 @@ def _step(points, weights, xh, n, d, q, forms):
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
         if n == 2:
-            arg = np.empty(hi - lo, dtype=np.intp)
-            low = np.empty(hi - lo)
-            for a, b in row_chunks(hi - lo, atoms.size):
-                costs = point_cost_matrix(points[lo + a:lo + b], atoms, q)
-                c0, c1 = costs.T  # argmin's index by one comparison (see above)
-                arg[a:b] = ~(c1 >= c0) & (c0 == c0)
-                low[a:b] = costs.take(arg[a:b] + 2 * np.arange(b - a))
+            costs = point_cost_matrix(points[lo:hi], atoms, q)
+            c0, c1 = costs.T
+            arg = ~(c1 >= c0) & (c0 == c0)  # argmin's index by one comparison
+            low = costs.take(arg + 2 * np.arange(hi - lo))
             src = _PAIR_SOURCES.take(arg, axis=0)
         else:
             mappings, low = batch_optimal_permutations(points[lo:hi], estimate, q)

@@ -23,6 +23,16 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+_PAIR_ARG = "            arg = ~(c1 >= c0) & (c0 == c0)  # argmin's index by one comparison\n"
+
+
+def _two_atom(*kinds):
+    """The two-atom step's crafted-cost cases of the given kinds, unweighted
+    and weighted."""
+    return tuple(f"tests/test_estimation.py::test_two_atom_step_takes_argmins_index[{k}-{w}]"
+                 for k in kinds for w in (False, True))
+
+
 MUTANTS = (
     # the basis tree's preorder arrays (transport._transportation_simplex)
     Mutant(
@@ -89,5 +99,126 @@ MUTANTS = (
         new="            src[:] = mappings\n",
         tests=("tests/test_estimation.py::test_mmospa_five_target_run_is_pinned",
                "tests/test_estimation.py::test_step_matches_the_two_pass_reference"),
+    ),
+    # the two-atom alignment (estimation._step): argmin's index by one
+    # comparison, and the minimum that index names
+    Mutant(
+        id="estimation-pair-lt-alone",
+        file="estimation.py",
+        old=_PAIR_ARG,
+        new=_PAIR_ARG.replace("~(c1 >= c0) & (c0 == c0)", "c1 < c0"),
+        tests=_two_atom("nan_c1"),
+    ),
+    Mutant(
+        id="estimation-pair-le",
+        file="estimation.py",
+        old=_PAIR_ARG,
+        new=_PAIR_ARG.replace("~(c1 >= c0)", "(c1 <= c0)"),
+        tests=_two_atom("ties", "inf", "minus_inf", "nan_c1"),
+    ),
+    Mutant(
+        id="estimation-pair-not-gt",
+        file="estimation.py",
+        old=_PAIR_ARG,
+        new=_PAIR_ARG.replace("~(c1 >= c0)", "~(c1 > c0)"),
+        tests=_two_atom("ties", "inf", "minus_inf"),
+    ),
+    Mutant(
+        id="estimation-pair-nan-c0-unguarded",
+        file="estimation.py",
+        old=_PAIR_ARG,
+        new=_PAIR_ARG.replace(" & (c0 == c0)", ""),
+        tests=_two_atom("nan_c0", "nan_both"),
+    ),
+    Mutant(
+        id="estimation-pair-minimum-swapped",
+        file="estimation.py",
+        old="            low = costs.take(arg + 2 * np.arange(hi - lo))\n",
+        new="            low = costs.take(~arg + 2 * np.arange(hi - lo))\n",
+        tests=_two_atom("random") + (
+            "tests/test_estimation.py::test_step_matches_the_two_pass_reference[2-1-False]",),
+    ),
+    # the cost kernel's one chunk budget (quadform.point_cost_matrix)
+    Mutant(
+        id="quadform-one-chunk",
+        file="quadform.py",
+        old="    for lo, hi in row_chunks(m, k * dim if q is None else 2 * k * dim):\n",
+        new="    for lo, hi in [(0, m)]:\n",
+        tests=("tests/test_estimation.py::"
+               "test_two_atom_step_memory_is_bounded_by_the_kernel_chunk",
+               "tests/test_quadform.py::test_point_cost_matrix_memory_is_bounded_by_the_chunk"),
+    ),
+    # the dim <= 2 cost kernel (quadform._low_dim_costs): einsum's +0.0 start,
+    # and no floating-point warning
+    Mutant(
+        id="quadform-low-dim-no-zero-start",
+        file="quadform.py",
+        old="                cost = sum((d * sa for d, sa in zip(diff, s)), 0.0)\n",
+        new="                cost = sum((d * sa for d, sa in zip(diff, s)), -0.0)\n",
+        tests=("tests/test_quadform.py::test_low_dim_costs_match_einsum_bit_for_bit"
+               "[None-zeros-1-True]",
+               "tests/test_quadform.py::test_low_dim_costs_match_einsum_bit_for_bit"
+               "[3-zeros-2-True]"),
+    ),
+    Mutant(
+        id="quadform-low-dim-no-errstate",
+        file="quadform.py",
+        old='    with np.errstate(over="ignore", invalid="ignore"):\n',
+        new="    with np.errstate():\n",
+        tests=("tests/test_quadform.py::test_low_dim_costs_match_einsum_bit_for_bit"
+               "[None-huge-1-False]",
+               "tests/test_quadform.py::test_low_dim_costs_match_einsum_bit_for_bit"
+               "[3-huge-2-True]"),
+    ),
+    # the assignment tie rule: the tolerance in the kernel's walk and in the
+    # per-sample route, and the per-sample route's fallback
+    Mutant(
+        id="assignment-kernel-no-tie-tolerance",
+        file="assignment.py",
+        old="        ok = cs[:, i, :] + completion <= (target + tol)[:, None]\n",
+        new="        ok = cs[:, i, :] + completion <= target[:, None]\n",
+        tests=("tests/test_assignment.py::"
+               "test_both_routes_agree_on_both_sides_of_the_kernel_reach",),
+    ),
+    Mutant(
+        id="assignment-solve-square-no-tie-tolerance",
+        file="assignment.py",
+        old="            if c[i, j] + v <= target + tol:\n",
+        new="            if c[i, j] + v <= target:\n",
+        tests=("tests/test_assignment.py::"
+               "test_both_routes_agree_on_both_sides_of_the_kernel_reach",),
+    ),
+    Mutant(
+        id="assignment-solve-square-no-fallback",
+        file="assignment.py",
+        old="            chosen, target = fallback_j, fallback_v\n",
+        new="            pass\n",
+        tests=("tests/test_assignment.py::"
+               "test_solve_square_falls_back_to_the_best_completion_seen",),
+    ),
+    # the one ownership rule of the value types (states._frozen_array)
+    Mutant(
+        id="states-frozen-array-asarray",
+        file="states.py",
+        old="        a = np.array(a, dtype=float)\n",
+        new="        a = np.asarray(a, dtype=float)\n",
+        tests=("tests/test_value_types.py::"
+               "test_a_writable_array_is_copied_and_left_writable",),
+    ),
+    Mutant(
+        id="states-frozen-array-min-only",
+        file="states.py",
+        old="    if not (np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0))):\n",
+        new="    if not np.isfinite(a.min(initial=0.0)):\n",
+        tests=("tests/test_value_types.py::test_a_non_finite_entry_is_refused",
+               "tests/test_value_types.py::test_a_non_finite_offset_is_refused"),
+    ),
+    Mutant(
+        id="states-frozen-array-always-reshaped",
+        file="states.py",
+        old="    if shape is not None and a.reshape(shape).shape != a.shape:\n",
+        new="    if shape is not None:\n",
+        tests=("tests/test_value_types.py::test_a_frozen_owning_array_is_kept",
+               "tests/test_value_types.py::test_rewrapping_an_empirical_measure_copies_nothing"),
     ),
 )

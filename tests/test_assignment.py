@@ -133,6 +133,28 @@ def test_solver_matches_brute_force(n):
         assert p1.mapping == p2.mapping  # unique optimum almost surely
 
 
+def test_solve_square_falls_back_to_the_best_completion_seen():
+    # at tol 0 rounding can leave a row with no column whose completion sum
+    # reaches the LSA optimum; the walk then commits the best one it saw.
+    # The crafted matrix does so at row 0, and about one in ten of the
+    # random ones at some row
+    from scipy.optimize import linear_sum_assignment
+
+    def lsa(c):
+        return float(c[linear_sum_assignment(c)].sum())
+
+    c = np.array([[0.3, 0.3, 0.2], [0.3, 0.3, 0.3], [0.1, 0.1, 0.3]])
+    assert all(c[0, j] + lsa(np.delete(c[1:], j, axis=1)) > lsa(c) for j in range(3))
+    assert _solve_square(c, 0.0) == ((2, 0, 1), brute_force_assignment(c)[1])
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        c = rng.random((n, n))
+        mapping, total = _solve_square(c, 0.0)
+        assert sorted(mapping) == list(range(n))
+        assert total == brute_force_assignment(c)[1]
+
+
 def test_lexicographic_agreement_on_tied_matrices():
     # integer matrices engineered for plentiful ties
     rng = np.random.default_rng(9)

@@ -358,8 +358,8 @@ def test_two_atom_step_takes_argmins_index(monkeypatch, kind, weighted):
     monkeypatch.setattr(estimation, "_CHUNK", 700)
     monkeypatch.setattr(quadform, "_CHUNK_BYTES", 8 * 2 * n * d * 97)  # 97 rows a chunk
     step_obj, step_nxt = estimation._step(*args)
-    # 8 row chunks in each full 700-row block, 5 in the last, every row once
-    assert len(served) == 29 and sum(r for _, r in served) == m
+    # one call per block (three full 700-row blocks and the last), every row once
+    assert len(served) == 4 and sum(r for _, r in served) == m
 
     best = table.argmin(axis=1)
     low = table[np.arange(m), best]
@@ -399,6 +399,29 @@ def test_mmospa_memory_is_bounded_by_the_chunk():
         assert peak < bound
         assert res.empirical_mospa == pytest.approx(mospa_mc(emp, res.estimate).value,
                                                     rel=1e-9)
+
+
+def test_two_atom_step_memory_is_bounded_by_the_kernel_chunk():
+    # one full block at d = 16: the step holds its aligned copy and its
+    # (rows, 2) costs, and point_cost_matrix one 2 MiB chunk of differences;
+    # a whole-block difference tensor (rows x 2 atoms x 2d words) would not fit
+    rows, d = estimation._CHUNK, 16
+    rng = np.random.default_rng(98)
+    points = rng.normal(size=(rows, 2 * d))
+    weights = normalized_weights(rng, rows)
+    xh = rng.normal(size=2 * d, scale=3.0)
+    bound = 8 * rows * 2 * d + 8 * rows * 2 + quadform._CHUNK_BYTES
+    assert 8 * rows * 4 * d > bound
+    tracemalloc.start()
+    try:
+        obj, nxt = estimation._step(points, weights, xh, 2, d, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    costs = point_cost_matrix(points, xh[_atom_index_matrix(2, d)])
+    assert obj == pytest.approx(float(np.sum(weights * costs.min(axis=1))), rel=1e-12)
+    assert np.all(np.isfinite(nxt))
 
 
 def test_weighted_step_memory_is_bounded_by_the_chunk():
