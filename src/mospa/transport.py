@@ -13,8 +13,9 @@ every potential from the costs after the last pivot.  The optimal basis is
 re-solved on the unperturbed marginals by peeling its leaves, so the plan
 carries no perturbation.  Pricing keeps each source row's least reduced cost
 and its first column: after a pivot the slice's rows are recomputed, and the
-other rows compare their cached minimum with the slice's columns.  Nothing is
-approximate; optimality is certified before returning, by dual feasibility
+other rows compare their cached minimum with the slice's columns, unless the
+slice's sink potentials only fell, which leaves those minima exact.  Nothing
+is approximate; optimality is certified before returning, by dual feasibility
 checked from the costs and by the dual gap.
 """
 
@@ -347,35 +348,48 @@ def _transportation_simplex(cost, a, b):
         # if top is a sink); the final recompute drops the rounding drift
         shift = (cost.item(ei, ej) - pot.item(parent) - pot.item(top)) * sign.item(top)
         pot[sub] += sign[sub] * shift
-        _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg)
+        # with the entering sink on top, shift is minus the entering arc's
+        # reduced cost, > 0: the slice's sink potentials only fall
+        _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg,
+                 li if top >= m else None)
 
     pot = _plant(adj, cost, m)[-1]  # every potential afresh from the costs
     return _resolve_tree_flows(adj, a, b, m, k), pot[:m], pot[m:], pivots
 
 
-def _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg):
+def _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg, leaving=None):
     """Refresh the row pricing cache after the nodes `sub` got new potentials.
 
     A row of `sub`, or a row whose cached first minimum lies in a column of
-    `sub`, is recomputed in full.  Any other row keeps its columns outside
-    `sub` and their first minimum, and compares it with the first minimum of
-    its columns in `sub`, read from cost_t (cost transposed, contiguous) in
-    ascending column order; a tie goes to the smaller column.
+    `sub`, is recomputed in full.  `leaving` is None when the sinks of `sub`
+    rose.  Then any other row keeps its columns outside `sub` and their first
+    minimum, and compares it with the first minimum of its columns in `sub`,
+    read from cost_t (cost transposed, contiguous) in ascending column order;
+    a tie goes to the smaller column.  The one basis arc into `sub` has its
+    sink outside it, so no such row has a basis arc in those columns.
+
+    Otherwise the sinks of `sub` fell, v' = fl(v - shift) <= v, and `leaving`
+    is the source of the arc that just left the basis.  Rounding is monotone,
+    so fl(fl(c - u) - v') >= fl(fl(c - u) - v): any other row's entries in
+    the columns of `sub` rose or stayed, and its cached first minimum holds,
+    except in `leaving`'s row, whose entry is no longer a basis arc's 0.0.
+    That row is recomputed too, and no column is read.
     """
     m, k = cost.shape
     cols = np.sort(sub[sub >= m] - m)
     full = np.zeros(m, dtype=bool)
     full[sub[sub < m]] = True
     if cols.size:
+        hung = np.zeros(k, dtype=bool)
+        hung[cols] = True
+        full |= hung[row_arg]
+    if leaving is not None:
+        full[leaving] = True
+    elif cols.size:
         block = cost_t[cols]
         block -= u
         block -= v[cols, None]
-        pos = np.full(k, -1)
-        pos[cols] = np.arange(cols.size)
-        hit = pos[arc_j] >= 0
-        block[pos[arc_j[hit]], arc_i[hit]] = 0.0
         cmin = np.minimum.reduce(block, axis=0)
-        full |= pos[row_arg] >= 0
         cand = np.flatnonzero((cmin <= row_min) & ~full)
         if cand.size:
             new_min = cmin[cand]

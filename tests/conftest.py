@@ -113,6 +113,6 @@ def stop_at_the_start(monkeypatch):
 
     def no_entering_arc(*args):
         reprice(*args)
-        args[-2][:] = 0.0  # row_min
+        args[7][:] = 0.0  # row_min
 
     monkeypatch.setattr(transport, "_reprice", no_entering_arc)

@@ -6,7 +6,9 @@ its replacement; `run.py` applies the entries one at a time to a copy of
 least one of its tests fails.  Entries are never deleted and their tests are
 never narrowed to get a pass: when a refactor removes an entry's text, the
 entry is re-targeted at the new code, or retired with a CHANGES.md line that
-says why.
+says why.  A mutant that makes its tests loop is stopped by `run.py` after a
+fixed time and counted as killed; such an entry must loop without
+allocating, since its memory would grow until it is stopped.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ class Mutant:
     new: str
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
+
+# the pricing cache's own tests in tests/test_transport.py
+_EVERY_REFRESH = ("tests/test_transport.py::"
+                  "test_row_cache_is_a_dense_first_minimum_after_every_refresh")
+_FALLING_SINKS = ("tests/test_transport.py::"
+                  "test_falling_sinks_refresh_the_leaving_row_and_read_no_column")
 
 _PAIR_ARG = "            arg = ~(c1 >= c0) & (c0 == c0)  # argmin's index by one comparison\n"
 
@@ -59,6 +67,80 @@ MUTANTS = (
         new="",
         tests=("tests/test_transport.py::"
                "test_row_pricing_follows_dense_pricing_on_a_region_problem",),
+    ),
+    # the row pricing cache (transport._reprice): the column block only where
+    # the re-hung sinks rose, the stale and leaving rows, the basis arcs' 0.0
+    Mutant(
+        id="transport-reprice-block-on-both-sides",
+        file="transport.py",
+        old="    elif cols.size:\n",
+        new="    if cols.size:\n",
+        tests=(_FALLING_SINKS,),
+    ),
+    Mutant(
+        id="transport-reprice-side-inverted",
+        file="transport.py",
+        old="li if top >= m else None)",
+        new="li if top < m else None)",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",
+               _EVERY_REFRESH + "_of_a_region_problem"),
+    ),
+    Mutant(
+        id="transport-reprice-stale-rows-unmarked",
+        file="transport.py",
+        old="        full |= hung[row_arg]\n",
+        new="",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",
+               _EVERY_REFRESH + "_of_a_region_problem"),
+    ),
+    Mutant(
+        id="transport-reprice-leaving-row-unmarked",
+        file="transport.py",
+        old="        full[leaving] = True\n",
+        new="        pass\n",
+        tests=(_FALLING_SINKS,),
+    ),
+    Mutant(
+        id="transport-reprice-row-scatter-dropped",
+        file="transport.py",
+        old="        reduced[pos[arc_i[hit]], arc_j[hit]] = 0.0\n",
+        new="",
+        tests=(_EVERY_REFRESH + "_of_a_region_problem", _EVERY_REFRESH),
+    ),
+    Mutant(
+        id="transport-reprice-tie-to-new-column",
+        file="transport.py",
+        old="np.minimum(old_arg, new_arg))",
+        new="new_arg)",
+        tests=("tests/test_transport.py::test_row_pricing_follows_dense_pricing",),
+    ),
+    Mutant(
+        id="transport-reprice-candidate-lt",
+        file="transport.py",
+        old="(cmin <= row_min)",
+        new="(cmin < row_min)",
+        tests=("tests/test_transport.py::test_row_pricing_follows_dense_pricing",),
+    ),
+    # the greedy start's masked search once a row's cheapest sink is full:
+    # without it the row retries that sink forever (a timeout; the loop
+    # allocates nothing while it spins)
+    Mutant(
+        id="transport-greedy-no-masked-fallback",
+        file="transport.py",
+        old="                j = int(np.argmin(np.where(avail, cost[i], np.inf)))\n"
+            "                if not avail[j]:\n"
+            "                    break  # capacity exhausted by rounding slack\n",
+        new="                continue\n",
+        tests=("tests/test_transport.py::test_simplex_matches_linprog_medium",),
+    ),
+    # the final flows (transport._resolve_tree_flows): a leaf is a node of
+    # degree 1
+    Mutant(
+        id="transport-peel-at-degree-2",
+        file="transport.py",
+        old="        if degree[other] == 1:\n",
+        new="        if degree[other] == 2:\n",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
     ),
     # the optimality certificate (transport.solve_transport)
     Mutant(

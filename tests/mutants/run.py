@@ -5,8 +5,11 @@
 For each entry the script copies `src/` to a temporary directory, applies the
 entry there, and runs `pytest -q -x` on the entry's tests with the copy first
 on the import path.  It reports each entry as killed (a test failed),
-survived (every test passed) or stale (the old text does not occur exactly
-once in its file), and exits 1 when any entry survived or is stale.  The
+timeout (its tests ran past TIMEOUT_S seconds and were stopped), survived
+(every test passed) or stale (the old text does not occur exactly once in
+its file), and exits 1 when any entry survived or is stale.  A timeout
+counts as killed: the unmutated code runs any entry's tests in a few
+seconds, so a mutant that outlasts the limit has made them loop.  The
 checkout itself is never modified.
 """
 
@@ -26,6 +29,8 @@ sys.path.insert(0, str(HERE))
 
 from catalogue import MUTANTS  # noqa: E402
 
+TIMEOUT_S = 60
+
 
 def run_entry(mutant, workdir: Path) -> str:
     src = workdir / "src"
@@ -41,8 +46,11 @@ def run_entry(mutant, workdir: Path) -> str:
     # pyproject's pythonpath puts the checkout's src first; point it at the copy
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-o", f"pythonpath={src}", *mutant.tests]
-    done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
+    try:
+        done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
     if done.returncode == 0:
         return "survived"
     if done.returncode in (1, 2):  # a test failed, or the mutant broke collection
@@ -62,7 +70,8 @@ def main() -> int:
             print(f"{outcome:8s} {mutant.id} ({time.perf_counter() - t0:.1f} s)", flush=True)
     summary = ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))
     print(f"{len(MUTANTS)} mutants: {summary} in {time.perf_counter() - start:.1f} s")
-    return 0 if counts.get("killed", 0) == len(MUTANTS) else 1
+    killed = counts.get("killed", 0) + counts.get("timeout", 0)
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -736,3 +736,79 @@ def test_preorder_arrays_hold_after_every_pivot(monkeypatch, build):
     checked = walk_every_basis(monkeypatch)
     sol = solve_transport(*build())
     assert sol.pivots > 0 and len(checked) == sol.pivots + 1
+
+
+def _dense_first_minimum(cost, u, v, arc_i, arc_j):
+    """Each row's least reduced cost (c_ij - u_i) - v_j, basis arcs set to
+    0.0, and its first column, from the whole matrix."""
+    reduced = (cost - u[:, None]) - v
+    reduced[arc_i, arc_j] = 0.0
+    arg = reduced.argmin(axis=1)
+    return reduced[np.arange(arg.size), arg], arg
+
+
+def check_every_refresh(monkeypatch):
+    """Compare the row pricing cache with a dense first minimum of the same
+    potentials and basis after the first pricing and after every refresh,
+    bit for bit; returns the side of each refresh (True where the re-hung
+    sinks fell and the column block was skipped)."""
+    reprice, sides = transport._reprice, []
+
+    def checking(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg, *leaving):
+        reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg, *leaving)
+        want_min, want_arg = _dense_first_minimum(cost, u, v, arc_i, arc_j)
+        assert np.array_equal(row_arg, want_arg)
+        assert np.array_equal(row_min.view(np.uint64), want_min.view(np.uint64))
+        sides.append(bool(leaving) and leaving[0] is not None)
+
+    monkeypatch.setattr(transport, "_reprice", checking)
+    return sides
+
+
+def test_row_cache_is_a_dense_first_minimum_after_every_refresh_of_a_region_problem(
+        monkeypatch, region_problem):
+    sides = check_every_refresh(monkeypatch)
+    pivots = _transportation_simplex(*region_problem)[3]
+    assert pivots >= 100 and len(sides) == pivots + 1
+    # both refresh routes ran many times
+    assert min(sum(sides), pivots - sum(sides)) >= 20
+
+
+@pytest.mark.parametrize("build", [_lone_sink, _duplicate_grid_assignment],
+                         ids=["lone-sink", "duplicate-grid"])
+def test_row_cache_is_a_dense_first_minimum_after_every_refresh(monkeypatch, build):
+    sides = check_every_refresh(monkeypatch)
+    sol = solve_transport(*build())
+    assert sol.pivots > 0 and len(sides) == sol.pivots + 1
+    assert any(sides)
+
+
+def test_row_cache_is_a_dense_first_minimum_after_every_refresh_on_integer_costs(
+        monkeypatch):
+    sides = check_every_refresh(monkeypatch)
+    rng = np.random.default_rng(31)
+    pivots = sum(_transportation_simplex(*_integer_costs(rng, 120, 24))[3] for _ in range(4))
+    assert len(sides) == pivots + 4 and any(sides)
+
+
+def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
+    # after a crafted pivot: basis arcs (0, 0), (1, 0), (1, 1), (2, 0); the
+    # arc (0, 1) left and (1, 1) entered, and sink 1, re-hung from source 1,
+    # is the whole subtree; its potential fell to 1.0.  Row 0's cached first
+    # minimum lies outside the subtree's column, but the left arc's entry is
+    # live now and below it, so the row is stale unless its refresh is asked
+    # for.  Row 1 is stale through its cached column, and row 2 keeps its
+    # cache: its entry in the subtree's column lies above its minimum.
+    m = 3
+    cost = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
+    u, v = np.zeros(3), np.array([0.0, 1.0])
+    arc_i, arc_j = np.array([0, 1, 1, 2]), np.array([0, 0, 1, 0])
+    row_min, row_arg = np.array([0.0, -0.5, 0.0]), np.array([0, 1, 0])
+    live = cost[0, 1] - u[0] - v[1]
+    assert live < row_min[0] and row_arg[0] != 1
+    # cost_t is not passed: on this side no column is read
+    transport._reprice(np.array([m + 1]), cost, None, u, v, arc_i, arc_j,
+                       row_min, row_arg, 0)
+    want_min, want_arg = _dense_first_minimum(cost, u, v, arc_i, arc_j)
+    assert np.array_equal(row_arg, want_arg) and np.array_equal(row_min, want_min)
+    assert (row_min[0], row_arg[0]) == (live, 1)
