@@ -20,6 +20,7 @@ summary and picks the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -180,7 +181,9 @@ def _bbox(text: str):
     return float(parts[0]), float(parts[1])
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="mospa", description=__doc__.partition("\n\nLayout")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

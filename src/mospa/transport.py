@@ -11,11 +11,16 @@ rebuilds the slice from the stem's pieces, moves it after its new parent,
 and shifts its potentials by one constant; one pass from the root recomputes
 every potential from the costs after the last pivot.  The optimal basis is
 re-solved on the unperturbed marginals by peeling its leaves, so the plan
-carries no perturbation.  Pricing keeps each source row's least reduced cost
-and its first column: after a pivot the slice's rows are recomputed, and the
-other rows compare their cached minimum with the slice's columns, unless the
-slice's sink potentials only fell, which leaves those minima exact.  Nothing
-is approximate; optimality is certified before returning, by dual feasibility
+carries no perturbation.  Pricing keeps, per source row, either its least
+reduced cost and first column (a fresh row) or a lower bound on that cost (a
+stale row).  A pivot recomputes no row: the slice's rows become stale, their
+bounds lowered by a rounding margin and, where the slice's sinks fell, by the
+shift; there a fresh row whose column lies in the slice becomes stale too,
+and where they rose every other row compares its cache with the slice's
+columns.  Before each pivot the stale rows whose bound could beat the best
+fresh value are recomputed, so the entering arc is the row-major first
+minimum of the whole matrix, as if every row were exact.  Nothing is
+approximate; optimality is certified before returning, by dual feasibility
 checked from the costs and by the dual gap.
 """
 
@@ -39,6 +44,7 @@ from .quadform import point_cost_matrix, row_chunks, validate_spd
 from .states import StackedState, _check_target_count, _frozen_array
 
 _MARGINAL_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 # Cap on the number of empirical sources fed to the LP inside the independent
 # verification mode; the extra Monte Carlo noise goes into the combined
 # standard error.
@@ -270,16 +276,22 @@ def _transportation_simplex(cost, a, b):
     sign = np.repeat([1.0, -1.0], [m, k])  # sources +1, sinks -1
     # Dantzig pricing by row: each row's least reduced cost (c_ij - u_i) - v_j,
     # basis arcs counted as 0, and its first column at that value, so the
-    # entering arc is the row-major first minimum of the whole matrix
+    # entering arc is the row-major first minimum of the whole matrix.  A
+    # fresh row holds that minimum; a stale one a lower bound on it, which
+    # _select makes exact only where it could win (see _reprice)
     cost_t = np.ascontiguousarray(cost.T)
     row_min = np.empty(m)
     row_arg = np.empty(m, dtype=np.intp)
-    _reprice(np.arange(m), cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg)
+    fresh = np.empty(m, dtype=bool)
+    _exact_rows(np.arange(m), cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+    # the largest |cost| and |potential| so far: _reprice's rounding margin
+    c_abs = max(cmax, -float(cost.min(initial=0.0)))
+    pot_max = float(np.abs(pot).max())
 
     max_pivots = 50 * (m + k) + 1000
     pivots = 0
     while True:
-        ei = int(row_min.argmin())
+        ei = _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
         if row_min[ei] >= -reduced_tol:
             break
         ej = int(row_arg[ei])
@@ -348,69 +360,124 @@ def _transportation_simplex(cost, a, b):
         # if top is a sink); the final recompute drops the rounding drift
         shift = (cost.item(ei, ej) - pot.item(parent) - pot.item(top)) * sign.item(top)
         pot[sub] += sign[sub] * shift
+        pot_max = max(pot_max, float(np.abs(pot[sub]).max()))
         # with the entering sink on top, shift is minus the entering arc's
         # reduced cost, > 0: the slice's sink potentials only fall
-        _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg,
-                 li if top >= m else None)
+        _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj,
+                 shift if top >= m else None, 16 * _EPS * (c_abs + pot_max))
 
     pot = _plant(adj, cost, m)[-1]  # every potential afresh from the costs
     return _resolve_tree_flows(adj, a, b, m, k), pot[:m], pot[m:], pivots
 
 
-def _reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg, leaving=None):
-    """Refresh the row pricing cache after the nodes `sub` got new potentials.
+def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, margin):
+    """Update the row pricing cache after the nodes `sub` got new potentials.
 
-    A row of `sub`, or a row whose cached first minimum lies in a column of
-    `sub`, is recomputed in full.  `leaving` is None when the sinks of `sub`
-    rose.  Then any other row keeps its columns outside `sub` and their first
-    minimum, and compares it with the first minimum of its columns in `sub`,
-    read from cost_t (cost transposed, contiguous) in ascending column order;
-    a tie goes to the smaller column.  The one basis arc into `sub` has its
-    sink outside it, so no such row has a basis arc in those columns.
+    No row is recomputed here.  A fresh row stays fresh only where its first
+    minimum and column are known to hold; any other row becomes stale, with
+    a bound at or below its least entry.  (li, lj) is the arc that just left
+    the basis.  `fell` is the shift, > 0, by which the sinks of `sub` fell and
+    its sources rose, or None where the sinks rose and the sources fell.
+    Rounding is monotone, so an entry fl(fl(c - u) - v) whose potentials
+    only fell only rises.
 
-    Otherwise the sinks of `sub` fell, v' = fl(v - shift) <= v, and `leaving`
-    is the source of the arc that just left the basis.  Rounding is monotone,
-    so fl(fl(c - u) - v') >= fl(fl(c - u) - v): any other row's entries in
-    the columns of `sub` rose or stayed, and its cached first minimum holds,
-    except in `leaving`'s row, whose entry is no longer a basis arc's 0.0.
-    That row is recomputed too, and no column is read.
+    `margin` covers what rounding adds to a shift.  An entry lies within
+    eps/2 (2 C + 3 P) of c - u - v, with C the largest |cost| and P the
+    largest |potential| so far, and a shifted potential is off its exact
+    shift by eps/2 P: an entry of a row of `sub` falls by at most
+    2 eps (C + 2 P) beyond the shift.  The bound's update rounds by at most
+    2.5 eps (C + 2 P) more while the bound lies within 4 (C + 2 P) of zero,
+    and 16 eps (C + P) covers the sum; a bound further below zero lies below
+    every entry anyway.
+
+    Each row of `sub` becomes stale, its bound lowered by `margin`, and also
+    by `fell` on that side, where its entries outside the columns of `sub`
+    fell by the shift; on the other side they only rose.  The left arc's row
+    becomes stale too, its bound at most its entry there, live now where it
+    was a basis arc's 0.0.
+
+    Where the sinks of `sub` fell, any other row's entries in the columns of
+    `sub` only rose, and the one basis arc into `sub` from outside is the
+    entering arc, whose row's first minimum it was.  A fresh row whose
+    cached column lies in `sub` becomes stale with its old minimum as the
+    bound, any other row keeps its cache, and no column is read.
+
+    Where the sinks of `sub` rose, any other row keeps its entries outside
+    the columns of `sub`, and its entries in them are read exactly from
+    cost_t (cost transposed, contiguous); no basis arc lies there.  A fresh
+    row takes their first minimum when it is below its cached one, or equal
+    to it at a smaller column; this holds also when its cached column lies
+    in `sub`, where the entry only fell.  A stale row becomes fresh with them
+    only on a strict drop below its bound, which its other entries, all at
+    or above the bound, cannot undercut.
     """
-    m, k = cost.shape
+    m = u.size
+    rows = sub[sub < m]
     cols = np.sort(sub[sub >= m] - m)
-    full = np.zeros(m, dtype=bool)
-    full[sub[sub < m]] = True
-    if cols.size:
-        hung = np.zeros(k, dtype=bool)
+    row_min[rows] -= margin if fell is None else fell + margin
+    fresh[rows] = False
+    row_min[li] = min(row_min.item(li), (cost.item(li, lj) - u.item(li)) - v.item(lj))
+    fresh[li] = False
+    if not cols.size:
+        return
+    if fell is not None:
+        hung = np.zeros(v.size, dtype=bool)
         hung[cols] = True
-        full |= hung[row_arg]
-    if leaving is not None:
-        full[leaving] = True
-    elif cols.size:
-        block = cost_t[cols]
-        block -= u
-        block -= v[cols, None]
-        cmin = np.minimum.reduce(block, axis=0)
-        cand = np.flatnonzero((cmin <= row_min) & ~full)
-        if cand.size:
-            new_min = cmin[cand]
-            new_arg = cols[block[:, cand].argmin(axis=0)]
-            old_arg = row_arg[cand]
-            row_arg[cand] = np.where(new_min < row_min[cand], new_arg,
-                                     np.minimum(old_arg, new_arg))
-            row_min[cand] = new_min
-        del block
-    rows = np.flatnonzero(full)
-    if rows.size:
-        reduced = cost[rows]
-        reduced -= u[rows, None]
+        fresh[hung[row_arg]] = False
+        return
+    block = cost_t[cols]
+    block -= u
+    block -= v[cols, None]
+    cmin = np.minimum.reduce(block, axis=0)
+    drop = cmin < row_min
+    drop[rows] = False
+    cand = np.flatnonzero(drop | ((cmin == row_min) & fresh))
+    if cand.size:
+        new_arg = cols[block[:, cand].argmin(axis=0)]
+        row_arg[cand] = np.where(drop[cand], new_arg, np.minimum(row_arg[cand], new_arg))
+        row_min[cand] = cmin[cand]
+        fresh[cand] = True
+
+
+def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
+    """The entering arc's source: the first row of least row_min, once fresh.
+
+    A stale row can beat the best fresh value only when its bound is at or
+    below it, so those rows, and no others, are recomputed in one batch.
+    Every stale row left then has a bound above the best fresh value, and the
+    argmin is a fresh row: the first row whose exact minimum is least, as if
+    every row were exact, and its cached column is the first at that value,
+    the row-major first minimum of the whole reduced-cost matrix.
+    """
+    while True:
+        ei = int(row_min.argmin())
+        if fresh.item(ei):
+            return ei
+        best = row_min[fresh].min(initial=np.inf)
+        stale = np.flatnonzero(~(row_min > best) & ~fresh)  # NaN bounds too
+        _exact_rows(stale, cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+
+
+def _exact_rows(rows, cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
+    """Recompute `rows` in full, over row_chunks: each row's least reduced
+    cost fl(fl(c - u) - v), basis arcs at 0.0, and its first column at it."""
+    m, k = cost.shape
+    slot = np.full(m, -1)
+    slot[rows] = np.arange(rows.size)
+    hit = slot[arc_i]
+    basis = hit >= 0
+    hit_row, hit_col = hit[basis], arc_j[basis]
+    for lo, hi in row_chunks(rows.size, k):
+        part = rows[lo:hi]
+        reduced = cost[part]
+        reduced -= u[part, None]
         reduced -= v
-        pos = np.full(m, -1)
-        pos[rows] = np.arange(rows.size)
-        hit = pos[arc_i] >= 0
-        reduced[pos[arc_i[hit]], arc_j[hit]] = 0.0
+        here = (hit_row >= lo) & (hit_row < hi)
+        reduced[hit_row[here] - lo, hit_col[here]] = 0.0
         arg = reduced.argmin(axis=1)
-        row_arg[rows] = arg
-        row_min[rows] = reduced[np.arange(rows.size), arg]
+        row_arg[part] = arg
+        row_min[part] = reduced[np.arange(hi - lo), arg]
+    fresh[rows] = True
 
 
 def _resolve_tree_flows(adj, a, b, m, k):

@@ -109,10 +109,11 @@ def stop_at_the_start(monkeypatch):
     """Patch the simplex's pricing to find no entering arc, so a solve stops
     at its greedy start: a feasible basis tree, whose duals close the gap
     but are not feasible."""
-    reprice = transport._reprice
+    select = transport._select
 
     def no_entering_arc(*args):
-        reprice(*args)
-        args[7][:] = 0.0  # row_min
+        ei = select(*args)
+        args[5][:] = 0.0  # row_min
+        return ei
 
-    monkeypatch.setattr(transport, "_reprice", no_entering_arc)
+    monkeypatch.setattr(transport, "_select", no_entering_arc)

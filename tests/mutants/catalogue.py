@@ -6,9 +6,9 @@ its replacement; `run.py` applies the entries one at a time to a copy of
 least one of its tests fails.  Entries are never deleted and their tests are
 never narrowed to get a pass: when a refactor removes an entry's text, the
 entry is re-targeted at the new code, or retired with a CHANGES.md line that
-says why.  A mutant that makes its tests loop is stopped by `run.py` after a
-fixed time and counted as killed; such an entry must loop without
-allocating, since its memory would grow until it is stopped.
+says why.  A mutant that makes its tests loop is stopped by `run.py`, after a
+fixed time or by a MemoryError at the child's address-space cap, and is
+counted as killed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class Mutant:
 
 
 # the pricing cache's own tests in tests/test_transport.py
-_EVERY_REFRESH = ("tests/test_transport.py::"
-                  "test_row_cache_is_a_dense_first_minimum_after_every_refresh")
+_EVERY_PIVOT = ("tests/test_transport.py::"
+                "test_row_cache_is_exact_or_a_bound_at_every_pivot")
 _FALLING_SINKS = ("tests/test_transport.py::"
                   "test_falling_sinks_refresh_the_leaving_row_and_read_no_column")
 
@@ -68,58 +68,106 @@ MUTANTS = (
         tests=("tests/test_transport.py::"
                "test_row_pricing_follows_dense_pricing_on_a_region_problem",),
     ),
-    # the row pricing cache (transport._reprice): the column block only where
-    # the re-hung sinks rose, the stale and leaving rows, the basis arcs' 0.0
+    # the row pricing cache (transport._reprice, _select, _exact_rows): the
+    # column block only where the re-hung sinks rose, the bounds of stale
+    # rows, the strict drop, the basis arcs' 0.0 and the fresh argmin
     Mutant(
         id="transport-reprice-block-on-both-sides",
         file="transport.py",
-        old="    elif cols.size:\n",
-        new="    if cols.size:\n",
+        old="        fresh[hung[row_arg]] = False\n        return\n",
+        new="        fresh[hung[row_arg]] = False\n",
         tests=(_FALLING_SINKS,),
     ),
     Mutant(
         id="transport-reprice-side-inverted",
         file="transport.py",
-        old="li if top >= m else None)",
-        new="li if top < m else None)",
+        old="shift if top >= m else None,",
+        new="shift if top < m else None,",
         tests=("tests/test_transport.py::test_pivot_path_is_pinned",
-               _EVERY_REFRESH + "_of_a_region_problem"),
-    ),
-    Mutant(
-        id="transport-reprice-stale-rows-unmarked",
-        file="transport.py",
-        old="        full |= hung[row_arg]\n",
-        new="",
-        tests=("tests/test_transport.py::test_pivot_path_is_pinned",
-               _EVERY_REFRESH + "_of_a_region_problem"),
-    ),
-    Mutant(
-        id="transport-reprice-leaving-row-unmarked",
-        file="transport.py",
-        old="        full[leaving] = True\n",
-        new="        pass\n",
-        tests=(_FALLING_SINKS,),
+               _EVERY_PIVOT + "_of_a_region_problem"),
     ),
     Mutant(
         id="transport-reprice-row-scatter-dropped",
         file="transport.py",
-        old="        reduced[pos[arc_i[hit]], arc_j[hit]] = 0.0\n",
+        old="        reduced[hit_row[here] - lo, hit_col[here]] = 0.0\n",
         new="",
-        tests=(_EVERY_REFRESH + "_of_a_region_problem", _EVERY_REFRESH),
+        tests=(_EVERY_PIVOT + "_of_a_region_problem", _EVERY_PIVOT),
     ),
     Mutant(
         id="transport-reprice-tie-to-new-column",
         file="transport.py",
-        old="np.minimum(old_arg, new_arg))",
+        old="np.minimum(row_arg[cand], new_arg))",
         new="new_arg)",
         tests=("tests/test_transport.py::test_row_pricing_follows_dense_pricing",),
     ),
     Mutant(
         id="transport-reprice-candidate-lt",
         file="transport.py",
-        old="(cmin <= row_min)",
-        new="(cmin < row_min)",
+        old="np.flatnonzero(drop | ((cmin == row_min) & fresh))",
+        new="np.flatnonzero(drop)",
         tests=("tests/test_transport.py::test_row_pricing_follows_dense_pricing",),
+    ),
+    Mutant(
+        id="transport-reprice-fell-without-shift",
+        file="transport.py",
+        old="    row_min[rows] -= margin if fell is None else fell + margin\n",
+        new="    row_min[rows] -= margin\n",
+        tests=(_EVERY_PIVOT + "_of_a_region_problem",),
+    ),
+    Mutant(
+        id="transport-reprice-stale-column-rows-fresh",
+        file="transport.py",
+        old="        fresh[hung[row_arg]] = False\n",
+        new="",
+        tests=(_FALLING_SINKS, _EVERY_PIVOT + "_of_a_region_problem"),
+    ),
+    Mutant(
+        id="transport-reprice-leaving-row-fresh",
+        file="transport.py",
+        old="    fresh[li] = False\n",
+        new="",
+        tests=(_FALLING_SINKS,),
+    ),
+    Mutant(
+        id="transport-reprice-leaving-bound-kept",
+        file="transport.py",
+        old="    row_min[li] = min(row_min.item(li), "
+            "(cost.item(li, lj) - u.item(li)) - v.item(lj))\n",
+        new="",
+        tests=(_FALLING_SINKS,),
+    ),
+    Mutant(
+        id="transport-reprice-drop-le",
+        file="transport.py",
+        old="    drop = cmin < row_min\n",
+        new="    drop = cmin <= row_min\n",
+        tests=(_EVERY_PIVOT + "_on_integer_costs",),
+    ),
+    Mutant(
+        id="transport-reprice-no-margin",
+        file="transport.py",
+        old="16 * _EPS * (c_abs + pot_max))",
+        new="0.0)",
+        tests=(_EVERY_PIVOT + "_of_a_region_problem",
+               _EVERY_PIVOT + "_at_a_tiny_cost_scale"),
+    ),
+    Mutant(
+        id="transport-select-stale-argmin",
+        file="transport.py",
+        old="        if fresh.item(ei):\n            return ei\n",
+        new="        return ei\n",
+        tests=(_EVERY_PIVOT + "_of_a_region_problem",
+               "tests/test_transport.py::test_pivot_path_is_pinned"),
+    ),
+    # NaN bounds (an all-infinite row) left out of the selection's batch:
+    # it recomputes nothing and spins (a timeout; it allocates nothing new)
+    Mutant(
+        id="transport-select-nan-bounds-skipped",
+        file="transport.py",
+        old="np.flatnonzero(~(row_min > best) & ~fresh)",
+        new="np.flatnonzero((row_min <= best) & ~fresh)",
+        tests=("tests/test_transport.py::"
+               "test_a_source_without_a_finite_cost_stops_at_the_pivot_cap",),
     ),
     # the greedy start's masked search once a row's cheapest sink is full:
     # without it the row retries that sink forever (a timeout; the loop

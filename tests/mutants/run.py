@@ -4,18 +4,21 @@
 
 For each entry the script copies `src/` to a temporary directory, applies the
 entry there, and runs `pytest -q -x` on the entry's tests with the copy first
-on the import path.  It reports each entry as killed (a test failed),
-timeout (its tests ran past TIMEOUT_S seconds and were stopped), survived
-(every test passed) or stale (the old text does not occur exactly once in
-its file), and exits 1 when any entry survived or is stale.  A timeout
-counts as killed: the unmutated code runs any entry's tests in a few
-seconds, so a mutant that outlasts the limit has made them loop.  The
+on the import path, in a child whose address space is capped at
+MEMORY_LIMIT bytes.  It reports each entry as killed (a test failed),
+timeout (its tests ran past TIMEOUT_S seconds and were stopped), memory (a
+MemoryError stopped them), survived (every test passed) or stale (the old
+text does not occur exactly once in its file), and exits 1 when any entry
+survived or is stale.  A timeout and a MemoryError count as killed: the
+unmutated code runs any entry's tests in a few seconds and well under half
+the cap, so a mutant that outlasts either limit has made them loop.  The
 checkout itself is never modified.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +33,14 @@ sys.path.insert(0, str(HERE))
 from catalogue import MUTANTS  # noqa: E402
 
 TIMEOUT_S = 60
+# every test file passes under half this cap; a mutant that allocates in a
+# loop (about 55 MB/s for a greedy start that appends an arc per turn) hits
+# it long before the timeout instead of holding gigabytes
+MEMORY_LIMIT = 1 << 30
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def run_entry(mutant, workdir: Path) -> str:
@@ -48,11 +59,14 @@ def run_entry(mutant, workdir: Path) -> str:
            "-o", f"pythonpath={src}", *mutant.tests]
     try:
         done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S)
+                              stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S,
+                              preexec_fn=_cap_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
     if done.returncode == 0:
         return "survived"
+    if "MemoryError" in done.stdout:
+        return "memory"
     if done.returncode in (1, 2):  # a test failed, or the mutant broke collection
         return "killed"
     print(done.stdout, file=sys.stderr)  # a usage error, or no such test
@@ -70,7 +84,7 @@ def main() -> int:
             print(f"{outcome:8s} {mutant.id} ({time.perf_counter() - t0:.1f} s)", flush=True)
     summary = ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))
     print(f"{len(MUTANTS)} mutants: {summary} in {time.perf_counter() - start:.1f} s")
-    killed = counts.get("killed", 0) + counts.get("timeout", 0)
+    killed = sum(counts.get(outcome, 0) for outcome in ("killed", "timeout", "memory"))
     return 0 if killed == len(MUTANTS) else 1
 
 

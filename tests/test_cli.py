@@ -214,6 +214,28 @@ def test_exit_codes(tmp_path):
     assert res.returncode == 1
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once per process; a usage error, a run and --help
+    # in one process give what a fresh process gives
+    from mospa import cli
+
+    def help_text():
+        with pytest.raises(SystemExit) as stop:
+            cli.run(["verify", "--help"])
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    fresh = run_cli(["verify", "--help"])
+    assert fresh.returncode == 0 and help_text() == fresh.stdout
+    for _ in range(2):
+        assert cli.run(["verify", "--scenario", FIG, "--nope"]) == 64
+        assert "usage error" in capsys.readouterr().err
+        assert cli.run(["mospa", "--scenario", FIG, "--x-hat=-4,3", "--samples", "200",
+                        "--output", str(tmp_path / "m.csv")]) == 0
+        assert help_text() == fresh.stdout
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_q_scenario_flag(tmp_path):
     scen = json.loads(open(FIG).read())
     scen["q_matrix"] = [[4.0, 0.0], [0.0, 1.0]]

@@ -669,9 +669,10 @@ def test_row_pricing_follows_dense_pricing_on_a_region_problem(region_problem):
 
 
 def test_simplex_memory_is_a_few_cost_matrices(region_problem):
-    # beside the caller's cost the solve holds cost.T across the pivots, and
-    # one full-size row refresh when a re-hang takes every row (2.4x here);
-    # a full-size temporary kept alive across the pivots breaks the bound
+    # beside the caller's cost the solve holds cost.T across the pivots, a
+    # row recompute one row chunk at a time, however many rows a selection
+    # takes, and a column block of the re-hung sinks (2.3x here); a
+    # full-size temporary kept alive across the pivots breaks the bound
     cost, a, b = region_problem
     assert 150 <= cost.shape[1] <= 220
     tracemalloc.start()
@@ -710,16 +711,16 @@ def _assert_preorder(tree):
 
 def walk_every_basis(monkeypatch):
     """Check the simplex's tree arrays on its first basis and after every
-    pivot, through the pricing refresh that follows each, which reads them
+    pivot, through the pricing selection that follows each, which reads them
     from the caller's frame; returns the list that counts the checks."""
-    reprice, checked = transport._reprice, []
+    select, checked = transport._select, []
 
     def checking(*args):
         _assert_preorder(sys._getframe(1).f_locals)
         checked.append(1)
-        reprice(*args)
+        return select(*args)
 
-    monkeypatch.setattr(transport, "_reprice", checking)
+    monkeypatch.setattr(transport, "_select", checking)
     return checked
 
 
@@ -747,48 +748,101 @@ def _dense_first_minimum(cost, u, v, arc_i, arc_j):
     return reduced[np.arange(arg.size), arg], arg
 
 
-def check_every_refresh(monkeypatch):
-    """Compare the row pricing cache with a dense first minimum of the same
-    potentials and basis after the first pricing and after every refresh,
-    bit for bit; returns the side of each refresh (True where the re-hung
-    sinks fell and the column block was skipped)."""
-    reprice, sides = transport._reprice, []
-
-    def checking(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg, *leaving):
-        reprice(sub, cost, cost_t, u, v, arc_i, arc_j, row_min, row_arg, *leaving)
-        want_min, want_arg = _dense_first_minimum(cost, u, v, arc_i, arc_j)
-        assert np.array_equal(row_arg, want_arg)
-        assert np.array_equal(row_min.view(np.uint64), want_min.view(np.uint64))
-        sides.append(bool(leaving) and leaving[0] is not None)
-
-    monkeypatch.setattr(transport, "_reprice", checking)
-    return sides
+def _assert_cache(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
+    """A fresh row holds its dense first minimum and first column, bit for
+    bit, and a stale row a bound at or below its dense minimum; returns the
+    dense first minima, their columns and the number of stale rows."""
+    want_min, want_arg = _dense_first_minimum(cost, u, v, arc_i, arc_j)
+    assert np.array_equal(row_min[fresh].view(np.uint64), want_min[fresh].view(np.uint64))
+    assert np.array_equal(row_arg[fresh], want_arg[fresh])
+    assert np.all(row_min[~fresh] <= want_min[~fresh])
+    return want_min, want_arg, int((~fresh).sum())
 
 
-def test_row_cache_is_a_dense_first_minimum_after_every_refresh_of_a_region_problem(
+def check_every_pivot(monkeypatch):
+    """Check the row pricing cache against a dense first minimum of the same
+    potentials and basis at every selection, as the refresh left it and as
+    the selection leaves it, and check that the selected row and its cached
+    column are the row-major first minimum of the whole matrix.  Returns a
+    record of the run: the side of every refresh (True where the re-hung
+    sinks fell and no column was read), the number of selections and the
+    number of stale rows whose bound was checked."""
+    select, reprice = transport._select, transport._reprice
+    run = {"fell": [], "selections": 0, "stale": 0}
+
+    def checking_select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
+        cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+        run["stale"] += _assert_cache(*cache)[2]
+        ei = select(*cache)
+        want_min, want_arg, _ = _assert_cache(*cache)
+        # the first least row minimum's first column is the matrix's first
+        # least entry in row-major order
+        first = int(want_min.argmin())
+        assert fresh[ei] and (ei, row_arg[ei]) == (first, want_arg[first])
+        run["selections"] += 1
+        return ei
+
+    def recording_reprice(*args):
+        run["fell"].append(args[-2] is not None)
+        reprice(*args)
+
+    monkeypatch.setattr(transport, "_select", checking_select)
+    monkeypatch.setattr(transport, "_reprice", recording_reprice)
+    return run
+
+
+def test_row_cache_is_exact_or_a_bound_at_every_pivot_of_a_region_problem(
         monkeypatch, region_problem):
-    sides = check_every_refresh(monkeypatch)
+    run = check_every_pivot(monkeypatch)
     pivots = _transportation_simplex(*region_problem)[3]
-    assert pivots >= 100 and len(sides) == pivots + 1
-    # both refresh routes ran many times
-    assert min(sum(sides), pivots - sum(sides)) >= 20
+    assert pivots >= 100 and run["selections"] == len(run["fell"]) + 1 == pivots + 1
+    # both refresh rules ran many times, and many bounds were checked
+    assert min(sum(run["fell"]), pivots - sum(run["fell"])) >= 20
+    assert run["stale"] >= pivots
 
 
 @pytest.mark.parametrize("build", [_lone_sink, _duplicate_grid_assignment],
                          ids=["lone-sink", "duplicate-grid"])
-def test_row_cache_is_a_dense_first_minimum_after_every_refresh(monkeypatch, build):
-    sides = check_every_refresh(monkeypatch)
+def test_row_cache_is_exact_or_a_bound_at_every_pivot(monkeypatch, build):
+    run = check_every_pivot(monkeypatch)
     sol = solve_transport(*build())
-    assert sol.pivots > 0 and len(sides) == sol.pivots + 1
-    assert any(sides)
+    assert sol.pivots > 0 and run["selections"] == sol.pivots + 1
+    assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
 
 
-def test_row_cache_is_a_dense_first_minimum_after_every_refresh_on_integer_costs(
-        monkeypatch):
-    sides = check_every_refresh(monkeypatch)
+def test_row_cache_is_exact_or_a_bound_at_every_pivot_on_integer_costs(monkeypatch):
+    run = check_every_pivot(monkeypatch)
     rng = np.random.default_rng(31)
     pivots = sum(_transportation_simplex(*_integer_costs(rng, 120, 24))[3] for _ in range(4))
-    assert len(sides) == pivots + 4 and any(sides)
+    assert run["selections"] == pivots + 4
+    assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
+
+
+def test_row_cache_is_exact_or_a_bound_at_every_pivot_at_a_tiny_cost_scale(
+        monkeypatch):
+    # the instances of test_simplex_tiny_cost_scale: the rounding margin is
+    # proportional to the costs and potentials, so it stays a bound here
+    run = check_every_pivot(monkeypatch)
+    rng = np.random.default_rng(88)
+    pivots = 0
+    for _ in range(20):
+        cost = rng.random((15, 6)) * 1e-8
+        pivots += _transportation_simplex(cost, normalized_weights(rng, 15),
+                                          normalized_weights(rng, 6))[3]
+    assert run["selections"] == pivots + 20
+    assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
+
+
+def test_a_source_without_a_finite_cost_stops_at_the_pivot_cap():
+    # an all-infinite row makes reduced costs and bounds NaN; the selection
+    # must still recompute such rows and end, so the pivot cap stops the
+    # solve, as it did when every row was recomputed at every pivot
+    rng = np.random.default_rng(0)
+    cost = rng.random((7, 3)) * 10
+    cost[2] = np.inf
+    a, b = normalized_weights(rng, 7), normalized_weights(rng, 3)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="exceeded 1500"):
+        _transportation_simplex(cost, a, b)
 
 
 def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
@@ -796,19 +850,24 @@ def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
     # arc (0, 1) left and (1, 1) entered, and sink 1, re-hung from source 1,
     # is the whole subtree; its potential fell to 1.0.  Row 0's cached first
     # minimum lies outside the subtree's column, but the left arc's entry is
-    # live now and below it, so the row is stale unless its refresh is asked
-    # for.  Row 1 is stale through its cached column, and row 2 keeps its
-    # cache: its entry in the subtree's column lies above its minimum.
+    # live now and below it, so its bound must drop to that entry.  Row 1's
+    # cached column is the subtree's, so its minimum is only a bound now, and
+    # row 2 keeps its cache: its entry in that column lies above its minimum.
     m = 3
     cost = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
     u, v = np.zeros(3), np.array([0.0, 1.0])
     arc_i, arc_j = np.array([0, 1, 1, 2]), np.array([0, 0, 1, 0])
     row_min, row_arg = np.array([0.0, -0.5, 0.0]), np.array([0, 1, 0])
+    fresh = np.ones(3, dtype=bool)
     live = cost[0, 1] - u[0] - v[1]
     assert live < row_min[0] and row_arg[0] != 1
     # cost_t is not passed: on this side no column is read
-    transport._reprice(np.array([m + 1]), cost, None, u, v, arc_i, arc_j,
-                       row_min, row_arg, 0)
-    want_min, want_arg = _dense_first_minimum(cost, u, v, arc_i, arc_j)
-    assert np.array_equal(row_arg, want_arg) and np.array_equal(row_min, want_min)
-    assert (row_min[0], row_arg[0]) == (live, 1)
+    transport._reprice(np.array([m + 1]), cost, None, u, v, row_min, row_arg, fresh,
+                       0, 1, 1.0, 1e-15)
+    assert fresh.tolist() == [False, False, True]
+    assert (row_min[0], row_min[1]) == (live, -0.5) and (row_min[2], row_arg[2]) == (0.0, 0)
+    cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+    _assert_cache(*cache)
+    assert transport._select(*cache) == 0
+    assert fresh[0] and (row_min[0], row_arg[0]) == (live, 1)
+    _assert_cache(*cache)
