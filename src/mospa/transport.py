@@ -3,15 +3,16 @@
 solve_transport runs a primal transportation simplex on the dense bipartite
 instance: greedy capacity-respecting initialization, Dantzig entering rule,
 and randomized marginal perturbation against degenerate cycling.  The basis
-is one tree over sources 0..m-1 and sinks m..m+k-1, rooted at sink 0 and held
-in preorder arrays (node order, position, parent, subtree size), so the
-subtree that a leaving arc cuts off is one slice of the order.  A pivot
-reverses the parents along the stem from the entering arc to the cut,
-rebuilds the slice from the stem's pieces, moves it after its new parent,
-and shifts its potentials by one constant; one pass from the root recomputes
-every potential from the costs after the last pivot.  The optimal basis is
-re-solved on the unperturbed marginals by peeling its leaves, so the plan
-carries no perturbation.  Pricing keeps, per source row, either its least
+is one tree over sources 0..m-1 and sinks m..m+k-1, hung once from the
+start's neighbour lists at sink 0 and then held only in preorder arrays (node
+order, position, parent, subtree size), so the subtree that a leaving arc
+cuts off is one slice of the order.  A pivot reverses the parents along the
+stem from the entering arc to the cut, rebuilds the slice from the stem's
+pieces, moves it after its new parent, and shifts its potentials by one
+constant; one pass in preorder sets every potential from the costs at the
+start and after the last pivot.  The optimal basis is re-solved on the
+unperturbed marginals by peeling its arcs' leaves, so the plan carries no
+perturbation.  Pricing keeps, per source row, either its least
 reduced cost and first column (a fresh row) or a lower bound on that cost (a
 stale row).  A pivot recomputes no row: the slice's rows become stale, their
 bounds lowered by a rounding margin and, where the slice's sinks fell, by the
@@ -126,7 +127,8 @@ class IdentityReport:
 
 
 def _greedy_basis(cost, a, b):
-    """Feasible acyclic start: sources in order, cheapest sink with capacity."""
+    """Feasible acyclic start: sources in order, cheapest sink with capacity.
+    Returns its arcs (arc_i, arc_j, flow) and adj, each node's neighbours."""
     m, k = cost.shape
     res = b.copy()
     avail = res > 0
@@ -136,6 +138,7 @@ def _greedy_basis(cost, a, b):
     arc_i: list[int] = []
     arc_j: list[int] = []
     flow: list[float] = []
+    adj: list[list[int]] = [[] for _ in range(m + k)]
     slack = 1e-14 * a.sum()
     for i in range(m):
         need = a[i]
@@ -149,12 +152,14 @@ def _greedy_basis(cost, a, b):
             arc_i.append(i)
             arc_j.append(j)
             flow.append(take)
+            adj[i].append(m + j)
+            adj[m + j].append(i)
             res[j] -= take
             need -= take
             if res[j] <= 0:
                 res[j] = 0.0
                 avail[j] = False
-    return arc_i, arc_j, flow
+    return arc_i, arc_j, flow, adj
 
 
 def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
@@ -203,23 +208,18 @@ def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
         home_sinks += sinks
 
 
-def _plant(adj, cost, m):
-    """The basis tree adj hung from the root m (sink 0), as preorder arrays
-    (order, at, pred, size, pot): the nodes in preorder, each node's index in
-    order, its parent, its subtree's size and its potential.  Each potential
-    follows u_i + v_j = c_ij from its parent's, so it depends only on the
-    node's path to the root."""
-    item = cost.item
-    pred, pot = [m] * len(adj), [0.0] * len(adj)
+def _plant(adj, m):
+    """The spanning tree adj hung from the root m (sink 0) by one DFS, as
+    preorder arrays (order, at, pred, size): the nodes in preorder, each
+    node's index in order, its parent and its subtree's size."""
+    pred = [m] * len(adj)
     order, stack = [], [m]
     while stack:
         x = stack.pop()
         order.append(x)
-        px, pot_x = pred[x], pot[x]
         for y in adj[x]:
-            if y != px:
+            if y != pred[x]:
                 pred[y] = x
-                pot[y] = (item(y, x - m) if x >= m else item(x, y - m)) - pot_x
                 stack.append(y)
     if len(order) != len(adj):
         raise RuntimeError("basis graph is not spanning")
@@ -229,7 +229,18 @@ def _plant(adj, cost, m):
     order, pred, size = (np.array(x, dtype=np.intp) for x in (order, pred, size))
     at = np.empty_like(order)
     at[order] = np.arange(len(adj))
-    return order, at, pred, size, np.array(pot)
+    return order, at, pred, size
+
+
+def _potentials(order, pred, cost, m):
+    """Every potential from the costs by one pass in preorder: the root's is
+    0 and each other node's follows u_i + v_j = c_ij from its parent's, so it
+    depends only on the node's path to the root."""
+    item = cost.item
+    pot = [0.0] * order.size
+    for x, p in zip(order[1:].tolist(), pred[order[1:]].tolist()):
+        pot[x] = (item(x, p - m) if x < m else item(p, x - m)) - pot[p]
+    return np.array(pot)
 
 
 def _perturbation(a):
@@ -257,19 +268,15 @@ def _transportation_simplex(cost, a, b):
     b_p = b.copy()
     b_p[int(np.argmax(b_p))] += a_p.sum() - b_p.sum()
 
-    arc_i, arc_j, flow = _greedy_basis(cost, a_p, b_p)
-    # the basis tree: each node's neighbours, kept current by every pivot
-    adj: list[list[int]] = [[] for _ in range(m + k)]
-    for i, j in zip(arc_i, arc_j):
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+    arc_i, arc_j, flow, adj = _greedy_basis(cost, a_p, b_p)
     _complete_to_tree(adj, arc_i, arc_j, flow, cost)
     arc_i = np.asarray(arc_i, dtype=np.intp)
     arc_j = np.asarray(arc_j, dtype=np.intp)
     flows_b = np.asarray(flow, dtype=float)
 
     # the basis tree in preorder arrays, kept current by every pivot
-    order, at, pred, size, pot = _plant(adj, cost, m)
+    order, at, pred, size = _plant(adj, m)
+    pot = _potentials(order, pred, cost, m)
     up_arc = np.empty(m + k, dtype=np.intp)  # the basis arc to each node's parent
     up_arc[np.where(pred[arc_i] == m + arc_j, arc_i, m + arc_j)] = np.arange(arc_i.size)
     u, v = pot[:m], pot[m:]  # views: the pivots shift the potentials in place
@@ -320,10 +327,6 @@ def _transportation_simplex(cost, a, b):
         arc_i[theta_pos] = ei
         arc_j[theta_pos] = ej
         flows_b[theta_pos] = theta
-        adj[li].remove(m + lj)
-        adj[m + lj].remove(li)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
 
         # the leaving arc cuts off its lower end's subtree, which re-hangs from
         # the entering arc: the stem, from the entering endpoint inside it (the
@@ -366,8 +369,8 @@ def _transportation_simplex(cost, a, b):
         _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj,
                  shift if top >= m else None, 16 * _EPS * (c_abs + pot_max))
 
-    pot = _plant(adj, cost, m)[-1]  # every potential afresh from the costs
-    return _resolve_tree_flows(adj, a, b, m, k), pot[:m], pot[m:], pivots
+    pot = _potentials(order, pred, cost, m)  # every potential afresh from the costs
+    return _resolve_tree_flows(arc_i, arc_j, a, b), pot[:m], pot[m:], pivots
 
 
 def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, margin):
@@ -480,12 +483,17 @@ def _exact_rows(rows, cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
     fresh[rows] = True
 
 
-def _resolve_tree_flows(adj, a, b, m, k):
-    """Unique flows that the spanning basis tree adj carries for the exact
-    marginals a (sources) and b (sinks), by peeling leaves; degenerate arcs
-    may pick up tiny negatives, which are clamped after a sanity bound."""
+def _resolve_tree_flows(arc_i, arc_j, a, b):
+    """Unique flows that the spanning tree of arcs (arc_i, arc_j) carries for
+    the exact marginals a (sources) and b (sinks), by peeling leaves; a peel
+    takes the leaf off its neighbour's degree and sum of neighbour ids, so a
+    leaf's one unpeeled neighbour is its remaining sum, in any arc order.
+    Degenerate arcs may pick up tiny negatives, clamped after a sanity bound."""
+    m, k = a.size, b.size
+    ends, nbrs = np.concatenate((arc_i, m + arc_j)), np.concatenate((m + arc_j, arc_i))
+    degree = np.bincount(ends, minlength=m + k).tolist()
+    nbr_sum = np.bincount(ends, nbrs, m + k).astype(np.intp).tolist()
     residual = a.tolist() + b.tolist()
-    degree = [len(nbrs) for nbrs in adj]
     out = np.zeros((m, k))
     # peel source leaves before sink leaves: a source leaf's arc carries its
     # exact marginal, which keeps star-shaped bases free of subtraction noise
@@ -495,13 +503,13 @@ def _resolve_tree_flows(adj, a, b, m, k):
         node = src_stack.pop() if src_stack else sink_stack.pop()
         if degree[node] != 1:
             continue
-        # peeled neighbours are at degree 0, so this is the one arc left
-        other = next(y for y in adj[node] if degree[y])
+        other = nbr_sum[node]
         if node < m:
             out[node, other - m] = residual[node]
         else:
             out[other, node - m] = residual[node]
         residual[other] -= residual[node]
+        nbr_sum[other] -= node
         degree[node] -= 1
         degree[other] -= 1
         if degree[other] == 1:
@@ -574,20 +582,11 @@ def coupling_cost(plan: TransportPlan, sources: EmpiricalMeasure,
                   sinks: DiscreteMeasure, q=None) -> float:
     """Transport cost of one feasible plan; at least the optimal cost.
 
-    Raises ValueError on what solve_transport refuses (_check_pair) and on a
-    plan whose shape or marginals do not match the measures."""
+    Raises ValueError on what solve_transport refuses (_check_pair) and, by
+    TransportPlan's own check, on a plan whose shape or marginals do not match
+    the measures; the measures' frozen arrays are not copied for it."""
     _check_pair(sources, sinks, q)
-    flows = plan.flows
-    if flows.shape != (len(sources), len(sinks)):
-        raise ValueError(f"plan shape {flows.shape} does not match the measures")
-    row_err = np.abs(flows.sum(axis=1) - sources.weights)
-    if row_err.max() > _MARGINAL_TOL:
-        bad = int(np.argmax(row_err))
-        raise ValueError(f"plan violates the source marginal at row {bad}")
-    col_err = np.abs(flows.sum(axis=0) - sinks.masses)
-    if col_err.max() > _MARGINAL_TOL:
-        bad = int(np.argmax(col_err))
-        raise ValueError(f"plan violates the sink marginal at column {bad}")
+    flows = TransportPlan(plan.flows, sources.weights, sinks.masses).flows
     cost = point_cost_matrix(sources.points, sinks.atoms, q)
     return float(np.sum(flows * cost))
 

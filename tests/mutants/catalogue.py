@@ -63,7 +63,7 @@ MUTANTS = (
     Mutant(
         id="transport-no-final-recompute",
         file="transport.py",
-        old="    pot = _plant(adj, cost, m)[-1]  # every potential afresh from the costs\n",
+        old="    pot = _potentials(order, pred, cost, m)  # every potential afresh from the costs\n",
         new="",
         tests=("tests/test_transport.py::"
                "test_row_pricing_follows_dense_pricing_on_a_region_problem",),
@@ -169,6 +169,26 @@ MUTANTS = (
         tests=("tests/test_transport.py::"
                "test_a_source_without_a_finite_cost_stops_at_the_pivot_cap",),
     ),
+    # the potentials from the costs (transport._potentials): a source's arc
+    # to its parent is (source, sink), a sink's (parent, sink)
+    Mutant(
+        id="transport-potentials-lookups-swapped",
+        file="transport.py",
+        old="item(x, p - m) if x < m else item(p, x - m)",
+        new="item(p, x - m) if x < m else item(x, p - m)",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
+    ),
+    # the greedy start's neighbour lists, which _plant hangs the tree from
+    Mutant(
+        id="transport-greedy-neighbour-dropped",
+        file="transport.py",
+        old="            flow.append(take)\n"
+            "            adj[i].append(m + j)\n"
+            "            adj[m + j].append(i)\n",
+        new="            flow.append(take)\n"
+            "            adj[i].append(m + j)\n",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
+    ),
     # the greedy start's masked search once a row's cheapest sink is full:
     # without it the row retries that sink forever (a timeout; the loop
     # allocates nothing while it spins)
@@ -190,6 +210,14 @@ MUTANTS = (
         new="        if degree[other] == 2:\n",
         tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
     ),
+    # a peel that leaves its leaf in the neighbour's sum of ids
+    Mutant(
+        id="transport-peel-neighbour-sum-kept",
+        file="transport.py",
+        old="        nbr_sum[other] -= node\n",
+        new="",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
+    ),
     # the optimality certificate (transport.solve_transport)
     Mutant(
         id="transport-certificate-gap-alone",
@@ -201,6 +229,14 @@ MUTANTS = (
                "tests/test_cli.py::test_exit_2_on_solver_error[_simplex_stopped_at_its_start]",
                "tests/test_cli.py::test_exit_2_on_solver_error[_verify_stopped_at_its_start]"),
     ),
+    # an infeasibility of exactly 0 under a bound of 0 (every cost 0)
+    Mutant(
+        id="transport-certificate-zero-cost-refused",
+        file="transport.py",
+        old="    if infeasibility > 1e-12 * float(cost.max()):\n",
+        new="    if infeasibility >= 1e-12 * float(cost.max()):\n",
+        tests=("tests/test_transport.py::test_a_zero_cost_solve_passes_its_certificate",),
+    ),
     Mutant(
         id="transport-certificate-flow-arcs-only",
         file="transport.py",
@@ -210,6 +246,14 @@ MUTANTS = (
                "test_a_simplex_stopped_at_its_start_fails_the_certificate",
                "tests/test_cli.py::test_exit_2_on_solver_error[_simplex_stopped_at_its_start]",
                "tests/test_cli.py::test_exit_2_on_solver_error[_verify_stopped_at_its_start]"),
+    ),
+    # the dense cap's boundary (transport._check_pair): 2**25 entries pass
+    Mutant(
+        id="transport-dense-cap-ge",
+        file="transport.py",
+        old="    if len(sources) * len(sinks) > _MAX_COST_ENTRIES:\n",
+        new="    if len(sources) * len(sinks) >= _MAX_COST_ENTRIES:\n",
+        tests=("tests/test_transport.py::test_the_dense_cap_admits_exactly_its_entries",),
     ),
     # a simplex that stops after three pivots, before the optimum
     Mutant(

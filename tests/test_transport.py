@@ -236,13 +236,18 @@ def test_random_feasible_plans_respect_weak_duality():
         assert coupling_cost(plan, emp, nu) >= optimal - 1e-9
 
 
-def test_coupling_cost_rejects_infeasible_plan():
+@pytest.mark.parametrize("flows, match", [
+    pytest.param(np.full((2, 1), 0.5), "shape", id="shape"),
+    pytest.param(np.diag([0.25, 0.75]), "source marginal", id="row"),
+    pytest.param(np.diag([0.5, 0.5]), "sink marginal", id="column"),
+])
+def test_coupling_cost_rejects_infeasible_plan(flows, match):
+    # each plan is feasible for its own marginals, not for these measures
     emp = EmpiricalMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.5])
-    nu = DiscreteMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.5])
-    bad = TransportPlan(np.eye(2) * 0.5, [0.5, 0.5], [0.5, 0.5])
     skewed = DiscreteMeasure(1, 1, [[0.0], [1.0]], [0.25, 0.75])
-    with pytest.raises(ValueError, match="column"):
-        coupling_cost(bad, emp, skewed)
+    plan = TransportPlan(flows, flows.sum(axis=1), flows.sum(axis=0))
+    with pytest.raises(ValueError, match=match):
+        coupling_cost(plan, emp, skewed)
 
 
 @pytest.mark.parametrize("q", [
@@ -280,6 +285,17 @@ def test_oversize_transport_is_refused_up_front():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_the_dense_cap_admits_exactly_its_entries():
+    # 8192 x 4096 = 2**25 entries pass the entry check; one source more does
+    # not.  The check reads only the sizes: no cost array is built
+    sinks = DiscreteMeasure(1, 1, np.arange(4096.0)[:, None], np.full(4096, 1 / 4096))
+    at_cap = EmpiricalMeasure(1, 1, np.zeros((8192, 1)), np.full(8192, 1 / 8192))
+    transport._check_pair(at_cap, sinks, None)
+    over = EmpiricalMeasure(1, 1, np.zeros((8193, 1)), np.full(8193, 1 / 8193))
+    with pytest.raises(ValueError, match="cap"):
+        transport._check_pair(over, sinks, None)
 
 
 def test_coupling_cost_applies_the_transport_cap(monkeypatch):
@@ -405,6 +421,14 @@ def test_independent_verify_checks_the_certificate(monkeypatch, fig_mixture, fig
     monkeypatch.setattr(transport, "_transportation_simplex", shifted_duals)
     with pytest.raises(RuntimeError, match="certificate"):
         verify_mospa_wasserstein(scen, fig_x_hat, mode="independent")
+
+
+def test_a_zero_cost_solve_passes_its_certificate():
+    # every cost is 0, so the certificate's bound, 1e-12 times the largest
+    # cost, is 0 too, and an infeasibility of exactly 0 must pass it
+    emp = EmpiricalMeasure(1, 1, np.full((4, 1), 2.0), np.full(4, 0.25))
+    sol = solve_transport(emp, DiscreteMeasure(1, 1, [[2.0]], [1.0]))
+    assert (sol.cost, sol.pivots, sol.dual_infeasibility) == (0.0, 0, 0.0)
 
 
 def test_a_simplex_stopped_at_its_start_fails_the_certificate(monkeypatch):
@@ -558,6 +582,41 @@ def _cycle_nodes(enter_i, enter_j, pred, m):
             return path_a[: pos[node] + 1] + path_b[:bi][::-1]
 
 
+# the reference's own peel, on its neighbour lists: the solver peels from
+# its arcs' degrees and neighbour-id sums, so the comparison checks one
+# against the other
+def _peel_on_neighbour_lists(adj, a, b, m, k):
+    """Unique flows that the spanning basis tree adj carries for the exact
+    marginals a (sources) and b (sinks), by peeling leaves; degenerate arcs
+    may pick up tiny negatives, which are clamped after a sanity bound."""
+    residual = a.tolist() + b.tolist()
+    degree = [len(nbrs) for nbrs in adj]
+    out = np.zeros((m, k))
+    # peel source leaves before sink leaves: a source leaf's arc carries its
+    # exact marginal, which keeps star-shaped bases free of subtraction noise
+    src_stack = [n for n in range(m) if degree[n] == 1]
+    sink_stack = [n for n in range(m, m + k) if degree[n] == 1]
+    while src_stack or sink_stack:
+        node = src_stack.pop() if src_stack else sink_stack.pop()
+        if degree[node] != 1:
+            continue
+        # peeled neighbours are at degree 0, so this is the one arc left
+        other = next(y for y in adj[node] if degree[y])
+        if node < m:
+            out[node, other - m] = residual[node]
+        else:
+            out[other, node - m] = residual[node]
+        residual[other] -= residual[node]
+        degree[node] -= 1
+        degree[other] -= 1
+        if degree[other] == 1:
+            (src_stack if other < m else sink_stack).append(other)
+    if out.min(initial=0.0) < -1e-7:
+        raise RuntimeError("degenerate basis produced a materially negative flow")
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def dense_pricing_simplex(cost, a, b):
     """Reference transportation simplex that prices from a dense (m, k)
     reduced-cost matrix: the rows and columns of the re-hung nodes are
@@ -621,7 +680,29 @@ def dense_pricing_simplex(cost, a, b):
         pred[top] = parent
         pot[top] = cost.item(ei, ej) - pot.item(parent)
         sub = _hang(top, adj, pred, pot, cost, m)
-    return _resolve_tree_flows(adj, a, b, m, k), u, v, pivots
+    return _peel_on_neighbour_lists(adj, a, b, m, k), u, v, pivots
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_instance(np.random.default_rng(12), 40, 7),
+    lambda: _integer_costs(np.random.default_rng(13), 120, 24),
+    lambda: _two_mode_region_problem(7, 5, 600),
+], ids=["real", "integer", "region"])
+def test_the_peel_does_not_depend_on_the_order_of_the_arcs(monkeypatch, build):
+    peel, final = transport._resolve_tree_flows, []
+
+    def recording(*args):
+        final.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(transport, "_resolve_tree_flows", recording)
+    _transportation_simplex(*build())
+    arc_i, arc_j, a, b = final.pop()
+    want = peel(arc_i, arc_j, a, b)
+    for seed in range(4):
+        shuffle = np.random.default_rng(seed).permutation(arc_i.size)
+        got = peel(arc_i[shuffle], arc_j[shuffle], a, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _two_mode_region_problem(seed, n, m):
