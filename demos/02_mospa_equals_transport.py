@@ -43,9 +43,9 @@ def main():
     print(f"relative difference:   {abs(mospa.value - transport) / mospa.value:.2e}")
 
     # packaged checks, both evaluation modes
-    scenario = Scenario(2, 1, mixture, seed=20, sample_count=2000)
+    scenario = Scenario(2, 1, mixture, seed=20, sample_count=20000)
     for mode in ("same-sample", "independent"):
-        report = verify_mospa_wasserstein(scenario, x_hat, mode=mode, m=20000)
+        report = verify_mospa_wasserstein(scenario, x_hat, mode=mode)
         print(f"{mode:>12} mode: |diff| = {report.abs_diff:.3e} "
               f"(tolerance {report.tolerance:.3e}) -> passed={report.passed}")
 

@@ -31,11 +31,9 @@ from . import rng
 from .assignment import _check_compatible, batch_optimal_permutations
 from .measures import EmpiricalMeasure
 from .quadform import point_cost_matrix, target_block_forms
-from .states import StackedState, _atom_index_matrix
+from .states import StackedState, _atom_index_matrix, permutation_array
 
 _CHUNK = 1 << 16
-# At two targets, slot j takes sample block _PAIR_SOURCES[a, j] at atom a.
-_PAIR_SOURCES = np.array([[0, 1], [1, 0]])
 # A run stops once an averaging step lowers the objective by less than this.
 _TOL = 1e-10
 
@@ -141,7 +139,9 @@ def _step(points, weights, xh, n, d, q, forms):
     targets one point_cost_matrix call scores the block against both
     permuted estimates; the index is 1 where not c1 >= c0 and c0 is not NaN:
     a tie and a NaN c0 go to atom 0 and a NaN c1 alone to atom 1, argmin's
-    rule (its first minimum, or its first NaN).
+    exact rule (its first minimum or first NaN; no tie tolerance).  The cost
+    there is np.minimum(c0, c1), as no cost is -0.0, and slot j takes sample
+    block permutation_array(2)[index, j]: a 2-permutation is its own inverse.
     Without slot weight matrices F_i it adds its weighted aligned sample
     blocks to the average.  With them it adds to the weight sum W_ji and the
     weighted block sum S_ji of the samples whose block i it assigns to slot
@@ -160,11 +160,10 @@ def _step(points, weights, xh, n, d, q, forms):
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
         if n == 2:
-            costs = point_cost_matrix(points[lo:hi], atoms, q)
-            c0, c1 = costs.T
+            c0, c1 = point_cost_matrix(points[lo:hi], atoms, q).T
             arg = ~(c1 >= c0) & (c0 == c0)  # argmin's index by one comparison
-            low = costs.take(arg + 2 * np.arange(hi - lo))
-            src = _PAIR_SOURCES.take(arg, axis=0)
+            low = np.minimum(c0, c1)
+            src = permutation_array(2).take(arg, axis=0)
         else:
             mappings, low = batch_optimal_permutations(points[lo:hi], estimate, q)
             src = np.empty((hi - lo, n), dtype=np.intp)  # the inverse mappings

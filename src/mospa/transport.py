@@ -603,7 +603,7 @@ def w2_squared(samples: EmpiricalMeasure, nu: DiscreteMeasure, q=None) -> float:
 
 
 def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sample",
-                             m: int | None = None, q=None) -> IdentityReport:
+                             q=None) -> IdentityReport:
     """Numerically check that Monte Carlo MOSPA matches the optimal transport
     cost to the permutation measure induced by x_hat.
 
@@ -612,15 +612,14 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
     every coupling is bounded below pointwise), so the tolerance is 1e-8
     relative.  independent mode estimates the region masses, the MOSPA
     average, and the transport side on disjoint draws and compares at 4
-    combined standard errors.  Raises CapacityError for n_targets >
-    MAX_TARGETS before any sample is drawn.
+    combined standard errors.  Every draw has scenario.sample_count samples
+    (the transport side's at most _W2_SOURCE_CAP).  Raises CapacityError for
+    n_targets > MAX_TARGETS before any sample is drawn.
     """
     if mode not in ("same-sample", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_target_count(x_hat.n_targets)
-    mixture = scenario.mixture
-    m = int(m if m is not None else scenario.sample_count)
-    seed = scenario.seed
+    mixture, seed, m = scenario.mixture, scenario.seed, int(scenario.sample_count)
 
     mass_set = gm_sample(mixture, rng.derive_seed(seed, 1), m)
     if mode == "same-sample":

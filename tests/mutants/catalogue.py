@@ -255,6 +255,16 @@ MUTANTS = (
         new="    if len(sources) * len(sinks) >= _MAX_COST_ENTRIES:\n",
         tests=("tests/test_transport.py::test_the_dense_cap_admits_exactly_its_entries",),
     ),
+    # the pivot cap's boundary (transport._transportation_simplex): exactly
+    # max_pivots pivots complete
+    Mutant(
+        id="transport-pivot-cap-ge",
+        file="transport.py",
+        old="        if pivots > max_pivots:\n",
+        new="        if pivots >= max_pivots:\n",
+        tests=("tests/test_transport.py::"
+               "test_a_source_without_a_finite_cost_stops_at_the_pivot_cap",),
+    ),
     # a simplex that stops after three pivots, before the optimum
     Mutant(
         id="transport-early-stop",
@@ -275,7 +285,7 @@ MUTANTS = (
                "tests/test_estimation.py::test_step_matches_the_two_pass_reference"),
     ),
     # the two-atom alignment (estimation._step): argmin's index by one
-    # comparison, and the minimum that index names
+    # comparison, the minimum that index names, and the sources it picks
     Mutant(
         id="estimation-pair-lt-alone",
         file="estimation.py",
@@ -307,8 +317,16 @@ MUTANTS = (
     Mutant(
         id="estimation-pair-minimum-swapped",
         file="estimation.py",
-        old="            low = costs.take(arg + 2 * np.arange(hi - lo))\n",
-        new="            low = costs.take(~arg + 2 * np.arange(hi - lo))\n",
+        old="            low = np.minimum(c0, c1)\n",
+        new="            low = np.maximum(c0, c1)\n",
+        tests=_two_atom("random") + (
+            "tests/test_estimation.py::test_step_matches_the_two_pass_reference[2-1-False]",),
+    ),
+    Mutant(
+        id="estimation-pair-sources-swapped",
+        file="estimation.py",
+        old="            src = permutation_array(2).take(arg, axis=0)\n",
+        new="            src = permutation_array(2).take(~arg, axis=0)\n",
         tests=_two_atom("random") + (
             "tests/test_estimation.py::test_step_matches_the_two_pass_reference[2-1-False]",),
     ),
@@ -354,6 +372,25 @@ MUTANTS = (
         tests=("tests/test_assignment.py::"
                "test_both_routes_agree_on_both_sides_of_the_kernel_reach",),
     ),
+    # the tolerance boundary itself: a column exactly tol above the optimum
+    # still passes
+    Mutant(
+        id="assignment-kernel-tolerance-strict",
+        file="assignment.py",
+        old="        ok = cs[:, i, :] + completion <= (target + tol)[:, None]\n",
+        new="        ok = cs[:, i, :] + completion < (target + tol)[:, None]\n",
+        tests=("tests/test_assignment.py::"
+               "test_kernel_takes_the_column_on_the_tolerance_boundary",),
+    ),
+    # the kernel walk's first acceptable column, not its last
+    Mutant(
+        id="assignment-kernel-last-acceptable-column",
+        file="assignment.py",
+        old="        pick = ok.argmax(axis=1)\n",
+        new="        pick = n - 1 - ok[:, ::-1].argmax(axis=1)\n",
+        tests=("tests/test_assignment.py::test_all_ties_resolve_lexicographically",
+               "tests/test_assignment.py::test_near_tie_within_tolerance_takes_first_column"),
+    ),
     Mutant(
         id="assignment-solve-square-no-tie-tolerance",
         file="assignment.py",
@@ -369,6 +406,16 @@ MUTANTS = (
         new="            pass\n",
         tests=("tests/test_assignment.py::"
                "test_solve_square_falls_back_to_the_best_completion_seen",),
+    ),
+    # the power-cell classifier's tie band (geometry.cells_match_regions): a
+    # sample is dropped on an unweighted tie too, not only on a weighted one
+    Mutant(
+        id="geometry-unweighted-tie-gap-dropped",
+        file="geometry.py",
+        old=" & (zpart[:, 1] - zpart[:, 0] > TIE_BAND)",
+        new="",
+        tests=("tests/test_geometry.py::"
+               "test_cells_match_regions_drops_samples_on_an_unweighted_tie",),
     ),
     # the one ownership rule of the value types (states._frozen_array)
     Mutant(

@@ -106,7 +106,7 @@ def test_criterion_2_identity_same_sample_exactness():
     cases.append((fig, StackedState(2, 1, [-4.0, 3.0])))
     worst = 0.0
     for scen, x_hat in cases:
-        report = verify_mospa_wasserstein(scen, x_hat, mode="same-sample", m=2000)
+        report = verify_mospa_wasserstein(scen, x_hat, mode="same-sample")
         assert report.passed, (scen.n_targets, scen.state_dim, report)
         worst = max(worst, report.rel_diff)
     elapsed = time.perf_counter() - started
@@ -118,7 +118,7 @@ def test_criterion_3_identity_independent_mode():
     started = time.perf_counter()
     worst_ratio = 0.0
     for scen, x_hat in _spread_scenarios(10, 3301, sample_count=100000):
-        report = verify_mospa_wasserstein(scen, x_hat, mode="independent", m=100000)
+        report = verify_mospa_wasserstein(scen, x_hat, mode="independent")
         assert report.passed, (scen.n_targets, scen.state_dim, report)
         worst_ratio = max(worst_ratio, report.abs_diff / report.tolerance)
     elapsed = time.perf_counter() - started

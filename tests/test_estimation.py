@@ -21,7 +21,7 @@ from mospa import (
     scalar_sort_oracle,
 )
 from mospa import estimation, quadform, rng as mospa_rng
-from mospa.assignment import _kernel_words, batch_optimal_permutations
+from mospa.assignment import _TIE_RTOL, _kernel_words, batch_optimal_permutations
 from mospa.quadform import point_cost_matrix, row_chunks, target_block_forms
 from mospa.states import _atom_index_matrix, permutation_array
 
@@ -370,6 +370,25 @@ def test_two_atom_step_takes_argmins_index(monkeypatch, kind, weighted):
     nxt = _average_step(points, weights, src, n, d, forms).reshape(-1)
     assert step_obj.hex() == obj.hex()
     assert np.array_equal(step_nxt, nxt)
+
+
+@pytest.mark.parametrize("third, step_objective", [([], 0.0), ([5.0, 5.0], _TIE_RTOL)],
+                         ids=["two-targets", "three-targets"])
+def test_two_target_step_is_the_exception_to_the_tie_tolerance(third, step_objective):
+    # the sample of test_kernel_takes_the_column_on_the_tolerance_boundary:
+    # its identity costs the dispatcher's tolerance, _TIE_RTOL, above the
+    # swap's 0.  mospa_mc takes the dispatcher's first permutation within
+    # that tolerance, the identity; at two targets the step compares exactly
+    # and takes the swap, so its objective sits below mospa_mc's.  With a
+    # third target the step aligns on the dispatcher too, and the two agree
+    p, q = 2.2322858239929762e-07, 1.3e-08
+    n = 2 + len(third) // 2
+    points = np.array([[p, q, 0.0, 0.0] + third])
+    xh = np.array([0.0, 0.0, p, q] + third)
+    obj, _ = estimation._step(points, np.ones(1), xh, n, 2, None, None)
+    mc = mospa_mc(EmpiricalMeasure(n, 2, points, [1.0]), StackedState(n, 2, xh))
+    assert mc.value == _TIE_RTOL
+    assert obj == step_objective
 
 
 @pytest.mark.parametrize("weighted", [False, True])

@@ -914,16 +914,27 @@ def test_row_cache_is_exact_or_a_bound_at_every_pivot_at_a_tiny_cost_scale(
     assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
 
 
-def test_a_source_without_a_finite_cost_stops_at_the_pivot_cap():
+def test_a_source_without_a_finite_cost_stops_at_the_pivot_cap(monkeypatch):
     # an all-infinite row makes reduced costs and bounds NaN; the selection
     # must still recompute such rows and end, so the pivot cap stops the
-    # solve, as it did when every row was recomputed at every pivot
+    # solve, as it did when every row was recomputed at every pivot.  The cap
+    # admits exactly 50 (m + k) + 1000 pivots: each completed pivot reprices
+    # once, and the one after the last raises
+    repriced = []
+    reprice = transport._reprice
+
+    def counting(*args):
+        repriced.append(1)
+        return reprice(*args)
+
+    monkeypatch.setattr(transport, "_reprice", counting)
     rng = np.random.default_rng(0)
     cost = rng.random((7, 3)) * 10
     cost[2] = np.inf
     a, b = normalized_weights(rng, 7), normalized_weights(rng, 3)
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="exceeded 1500"):
         _transportation_simplex(cost, a, b)
+    assert len(repriced) == 50 * (7 + 3) + 1000
 
 
 def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
