@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +38,13 @@ class Scenario:
     def __post_init__(self):
         if (self.mixture.n_targets, self.mixture.state_dim) != (self.n_targets, self.state_dim):
             raise ValueError("mixture dimensions do not match the scenario")
+        # a float count would fail later inside gm_sample or be truncated;
+        # numpy integers are kept, as Python ints
+        for name in ("seed", "sample_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.seed <= rng.MAX_SEED:
             raise ValueError("seed must be an integer in [0, 2**64 - 1]")
         if self.sample_count < 1:

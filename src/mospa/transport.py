@@ -4,29 +4,34 @@ solve_transport runs a primal transportation simplex on the dense bipartite
 instance: greedy capacity-respecting initialization, Dantzig entering rule,
 and randomized marginal perturbation against degenerate cycling.  The basis
 is one tree over sources 0..m-1 and sinks m..m+k-1, hung once from the
-start's neighbour lists at sink 0 and then held only in preorder arrays (node
-order, position, parent, subtree size), so the subtree that a leaving arc
-cuts off is one slice of the order.  A pivot reverses the parents along the
-stem from the entering arc to the cut, rebuilds the slice from the stem's
-pieces, moves it after its new parent, and shifts its potentials by one
-constant; one pass in preorder sets every potential from the costs at the
-start and after the last pivot.  The optimal basis is re-solved on the
-unperturbed marginals by peeling its arcs' leaves, so the plan carries no
-perturbation.  Pricing keeps, per source row, either its least
-reduced cost and first column (a fresh row) or a lower bound on that cost (a
-stale row).  A pivot recomputes no row: the slice's rows become stale, their
-bounds lowered by a rounding margin and, where the slice's sinks fell, by the
-shift; there a fresh row whose column lies in the slice becomes stale too,
-and where they rose every other row compares its cache with the slice's
-columns.  Before each pivot the stale rows whose bound could beat the best
-fresh value are recomputed, so the entering arc is the row-major first
-minimum of the whole matrix, as if every row were exact.  Nothing is
-approximate; optimality is certified before returning, by dual feasibility
-checked from the costs and by the dual gap.
+start's neighbour lists at sink 0 and then held only in preorder: the node
+order and each node's position in it as arrays, and each node's parent,
+subtree size and arc to its parent as lists, read and written a few entries
+per pivot.  The subtree that a leaving arc cuts off is one slice of the
+order.  A pivot reverses the parents along the stem from the entering arc to
+the cut, rebuilds the slice from the stem's pieces, moves it after its new
+parent, and shifts its potentials by one constant; one pass in preorder sets
+every potential from the costs at the start and after the last pivot.  The
+optimal basis is re-solved on the unperturbed marginals by peeling its arcs'
+leaves, so the plan carries no perturbation.  Pricing keeps, per source row,
+either its least reduced cost over its non-basis arcs and its first column
+(a fresh row) or a lower bound on that cost (a stale row); basis arcs are
+excluded, so a row whose every arc is in the basis holds +inf.  A pivot
+recomputes no row: the slice's rows become stale, their bounds lowered by a
+rounding margin and, where the slice's sinks fell, by the shift; there a
+fresh row whose column lies in the slice becomes stale too, and where they
+rose every other row compares its cache with the slice's columns.  Before
+each pivot the stale rows whose bound could beat the best fresh value are
+recomputed, so the entering arc is the row-major first minimum of the whole
+matrix, as if every row were exact; once the least bound reaches the
+stopping tolerance no arc can enter, and the simplex stops without a
+recompute.  Nothing is approximate; optimality is certified before
+returning, by dual feasibility checked from the costs and by the dual gap.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -130,8 +135,9 @@ def _greedy_basis(cost, a, b):
     """Feasible acyclic start: sources in order, cheapest sink with capacity.
     Returns its arcs (arc_i, arc_j, flow) and adj, each node's neighbours."""
     m, k = cost.shape
-    res = b.copy()
-    avail = res > 0
+    res = b.tolist()
+    live = [r > 0 for r in res]
+    avail = np.array(live)  # live as an array, for the masked search
     # each row's first cheapest sink; the masked search runs only once that
     # sink is exhausted, and finds the same first minimum while it is not
     first = cost.argmin(axis=1).tolist()
@@ -139,14 +145,13 @@ def _greedy_basis(cost, a, b):
     arc_j: list[int] = []
     flow: list[float] = []
     adj: list[list[int]] = [[] for _ in range(m + k)]
-    slack = 1e-14 * a.sum()
-    for i in range(m):
-        need = a[i]
+    slack = float(1e-14 * a.sum())
+    for i, need in enumerate(a.tolist()):
         while need > slack:
             j = first[i]
-            if not avail[j]:
+            if not live[j]:
                 j = int(np.argmin(np.where(avail, cost[i], np.inf)))
-                if not avail[j]:
+                if not live[j]:
                     break  # capacity exhausted by rounding slack
             take = min(need, res[j])
             arc_i.append(i)
@@ -154,11 +159,12 @@ def _greedy_basis(cost, a, b):
             flow.append(take)
             adj[i].append(m + j)
             adj[m + j].append(i)
-            res[j] -= take
             need -= take
-            if res[j] <= 0:
-                res[j] = 0.0
-                avail[j] = False
+            r = res[j] - take
+            if r <= 0:
+                r = 0.0
+                live[j] = avail[j] = False
+            res[j] = r
     return arc_i, arc_j, flow, adj
 
 
@@ -175,8 +181,7 @@ def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
     """
     m, k = cost.shape
     seen = [False] * (m + k)
-    home_srcs: list[int] = []
-    home_sinks: list[int] = []
+    comps = []
     for start in range(m + k):
         if seen[start]:
             continue
@@ -190,28 +195,33 @@ def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
                     comp.append(y)
                     stack.append(y)
         comp.sort()
-        srcs = [n for n in comp if n < m]
-        sinks = [n - m for n in comp if n >= m]
-        if start:
-            if srcs:
-                i = srcs[0]
-                j = home_sinks[int(np.argmin(cost[i, home_sinks]))]
+        comps.append(comp)
+    # home after each component is a prefix of these
+    srcs = np.array([n for comp in comps for n in comp if n < m], dtype=np.intp)
+    sinks = np.array([n - m for comp in comps for n in comp if n >= m], dtype=np.intp)
+    home_srcs = home_sinks = 0
+    for c, comp in enumerate(comps):
+        n_srcs = bisect.bisect_left(comp, m)
+        if c:
+            if n_srcs:
+                i = comp[0]
+                j = int(sinks[np.argmin(cost[i, sinks[:home_sinks]])])
             else:
-                j = sinks[0]
-                i = home_srcs[int(np.argmin(cost[home_srcs, j]))]
+                j = comp[0] - m
+                i = int(srcs[np.argmin(cost[srcs[:home_srcs], j])])
             arc_i.append(i)
             arc_j.append(j)
             flow.append(0.0)
             adj[i].append(m + j)
             adj[m + j].append(i)
-        home_srcs += srcs
-        home_sinks += sinks
+        home_srcs += n_srcs
+        home_sinks += len(comp) - n_srcs
 
 
 def _plant(adj, m):
-    """The spanning tree adj hung from the root m (sink 0) by one DFS, as
-    preorder arrays (order, at, pred, size): the nodes in preorder, each
-    node's index in order, its parent and its subtree's size."""
+    """The spanning tree adj hung from the root m (sink 0) by one DFS: the
+    nodes in preorder and each node's index in it, as arrays (order, at),
+    and each node's parent and its subtree's size, as lists (pred, size)."""
     pred = [m] * len(adj)
     order, stack = [], [m]
     while stack:
@@ -226,7 +236,7 @@ def _plant(adj, m):
     size = [1] * len(adj)
     for x in reversed(order[1:]):
         size[pred[x]] += size[x]
-    order, pred, size = (np.array(x, dtype=np.intp) for x in (order, pred, size))
+    order = np.array(order, dtype=np.intp)
     at = np.empty_like(order)
     at[order] = np.arange(len(adj))
     return order, at, pred, size
@@ -238,7 +248,8 @@ def _potentials(order, pred, cost, m):
     depends only on the node's path to the root."""
     item = cost.item
     pot = [0.0] * order.size
-    for x, p in zip(order[1:].tolist(), pred[order[1:]].tolist()):
+    for x in order[1:].tolist():
+        p = pred[x]
         pot[x] = (item(x, p - m) if x < m else item(p, x - m)) - pot[p]
     return np.array(pot)
 
@@ -268,21 +279,22 @@ def _transportation_simplex(cost, a, b):
     b_p = b.copy()
     b_p[int(np.argmax(b_p))] += a_p.sum() - b_p.sum()
 
-    arc_i, arc_j, flow, adj = _greedy_basis(cost, a_p, b_p)
-    _complete_to_tree(adj, arc_i, arc_j, flow, cost)
-    arc_i = np.asarray(arc_i, dtype=np.intp)
-    arc_j = np.asarray(arc_j, dtype=np.intp)
-    flows_b = np.asarray(flow, dtype=float)
+    arc_i, arc_j, flows_b, adj = _greedy_basis(cost, a_p, b_p)
+    _complete_to_tree(adj, arc_i, arc_j, flows_b, cost)
 
-    # the basis tree in preorder arrays, kept current by every pivot
+    # the basis tree: preorder arrays, parent and subtree-size lists, and
+    # each node's basis arc to its parent, all kept current by every pivot
     order, at, pred, size = _plant(adj, m)
     pot = _potentials(order, pred, cost, m)
-    up_arc = np.empty(m + k, dtype=np.intp)  # the basis arc to each node's parent
-    up_arc[np.where(pred[arc_i] == m + arc_j, arc_i, m + arc_j)] = np.arange(arc_i.size)
+    up_arc = [0] * (m + k)
+    for p, (i, j) in enumerate(zip(arc_i, arc_j)):
+        up_arc[i if pred[i] == m + j else m + j] = p
+    arc_i = np.asarray(arc_i, dtype=np.intp)
+    arc_j = np.asarray(arc_j, dtype=np.intp)
     u, v = pot[:m], pot[m:]  # views: the pivots shift the potentials in place
     sign = np.repeat([1.0, -1.0], [m, k])  # sources +1, sinks -1
-    # Dantzig pricing by row: each row's least reduced cost (c_ij - u_i) - v_j,
-    # basis arcs counted as 0, and its first column at that value, so the
+    # Dantzig pricing by row: each row's least reduced cost (c_ij - u_i) - v_j
+    # over its non-basis arcs, and its first column at that value, so the
     # entering arc is the row-major first minimum of the whole matrix.  A
     # fresh row holds that minimum; a stale one a lower bound on it, which
     # _select makes exact only where it could win (see _reprice)
@@ -298,10 +310,10 @@ def _transportation_simplex(cost, a, b):
     max_pivots = 50 * (m + k) + 1000
     pivots = 0
     while True:
-        ei = _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+        ei = _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol)
         if row_min[ei] >= -reduced_tol:
             break
-        ej = int(row_arg[ei])
+        ej = row_arg.item(ei)
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError(f"transportation simplex exceeded {max_pivots} pivots")
@@ -309,21 +321,24 @@ def _transportation_simplex(cost, a, b):
         # the cycle ei .. apex .. m+ej: the apex is the first node up from ei
         # whose preorder slice holds m+ej
         up, down, pos = [ei], [m + ej], at.item(m + ej)
-        while not 0 <= pos - at.item(up[-1]) < size.item(up[-1]):
-            up.append(pred.item(up[-1]))
+        while not 0 <= pos - at.item(up[-1]) < size[up[-1]]:
+            up.append(pred[up[-1]])
         while down[-1] != up[-1]:
-            down.append(pred.item(down[-1]))
+            down.append(pred[down[-1]])
         apex = len(up) - 1
+        path = up + down[-2::-1]
         # arcs along the walk alternate -theta, +theta starting at the arc
         # leaving the entering source; the entering arc itself carries +theta
-        cycle_arcs = up_arc[up[:-1] + down[-2::-1]]
-        minus = cycle_arcs[::2].tolist()
-        theta_pos = min(minus, key=lambda p: (flows_b.item(p), p))
-        theta = flows_b[theta_pos]
-        flows_b[cycle_arcs[::2]] -= theta
-        flows_b[cycle_arcs[1::2]] += theta
+        cycle_arcs = [up_arc[x] for x in up[:-1] + down[-2::-1]]
+        minus = cycle_arcs[::2]
+        theta = min([flows_b[p] for p in minus])
+        theta_pos = min(p for p in minus if flows_b[p] == theta)
+        for p in minus:
+            flows_b[p] -= theta
+        for p in cycle_arcs[1::2]:
+            flows_b[p] += theta
         # swap the leaving arc for the entering one, in place
-        li, lj = int(arc_i[theta_pos]), int(arc_j[theta_pos])
+        li, lj = arc_i.item(theta_pos), arc_j.item(theta_pos)
         arc_i[theta_pos] = ei
         arc_j[theta_pos] = ej
         flows_b[theta_pos] = theta
@@ -333,14 +348,13 @@ def _transportation_simplex(cost, a, b):
         # source when the leaving arc is on the source's way up to the apex) up
         # to that lower end, reverses, and the ancestors below the apex change
         t = 2 * minus.index(theta_pos)
-        path = np.array(up + down[-2::-1])
         if t < apex:
             stem, parent, lose, gain = path[:t + 1], m + ej, path[t + 1:apex], path[apex + 1:]
         else:
             stem, parent, lose, gain = path[:t:-1], ei, path[apex + 1:t + 1], path[:apex]
-        top, old = int(stem[0]), size[stem]
-        inner = np.concatenate(([0], old[:-1]))  # the subtree of the stem node below
-        first, end = at[stem].tolist(), (at[stem] + old).tolist()
+        top, old = stem[0], [size[x] for x in stem]
+        first = [at.item(x) for x in stem]
+        end = [f + s for f, s in zip(first, old)]
         # the slice's new preorder, top's subtree and then each stem node's
         # kept part, goes just after parent; what lies in between moves over
         pieces = [order[first[0]:end[0]]]
@@ -352,18 +366,26 @@ def _transportation_simplex(cost, a, b):
                                      else [order[hi:dest]] + pieces)
         at[order[span]] = np.arange(span.start, span.stop)
         sub = order[dest:dest + hi - lo] if dest <= lo else order[dest - hi + lo:dest]
-        size[stem] = hi - lo - inner
-        size[lose] -= hi - lo
-        size[gain] += hi - lo
-        pred[stem[1:]] = stem[:-1]
+        moved = hi - lo
+        for x, below in zip(stem, [0] + old[:-1]):  # below: the stem node under x
+            size[x] = moved - below
+        for x in lose:
+            size[x] -= moved
+        for x in gain:
+            size[x] += moved
+        # bottom up, so that each stem node's arc is read before it moves down
+        for x in range(len(stem) - 1, 0, -1):
+            pred[stem[x]] = stem[x - 1]
+            up_arc[stem[x]] = up_arc[stem[x - 1]]
         pred[top] = parent
-        up_arc[stem[1:]] = up_arc[stem[:-1]]
         up_arc[top] = theta_pos
         # sources shift by the change at top and sinks by its negative (swapped
         # if top is a sink); the final recompute drops the rounding drift
         shift = (cost.item(ei, ej) - pot.item(parent) - pot.item(top)) * sign.item(top)
-        pot[sub] += sign[sub] * shift
-        pot_max = max(pot_max, float(np.abs(pot[sub]).max()))
+        moved_pot = pot[sub]
+        moved_pot += sign[sub] * shift
+        pot[sub] = moved_pot
+        pot_max = max(pot_max, float(moved_pot.max()), -float(moved_pot.min()))
         # with the entering sink on top, shift is minus the entering arc's
         # reduced cost, > 0: the slice's sink potentials only fall
         _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj,
@@ -381,8 +403,9 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
     a bound at or below its least entry.  (li, lj) is the arc that just left
     the basis.  `fell` is the shift, > 0, by which the sinks of `sub` fell and
     its sources rose, or None where the sinks rose and the sources fell.
-    Rounding is monotone, so an entry fl(fl(c - u) - v) whose potentials
-    only fell only rises.
+    An entry is fl(fl(c - u) - v) on a non-basis arc; basis arcs are
+    excluded.  Rounding is monotone, so an entry whose potentials only fell
+    only rises.
 
     `margin` covers what rounding adds to a shift.  An entry lies within
     eps/2 (2 C + 3 P) of c - u - v, with C the largest |cost| and P the
@@ -390,20 +413,23 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
     shift by eps/2 P: an entry of a row of `sub` falls by at most
     2 eps (C + 2 P) beyond the shift.  The bound's update rounds by at most
     2.5 eps (C + 2 P) more while the bound lies within 4 (C + 2 P) of zero,
-    and 16 eps (C + P) covers the sum; a bound further below zero lies below
-    every entry anyway.
+    and 16 eps (C + P) covers the sum.  A bound above zero is at most an
+    entry, so it lies within that range; a bound further below zero lies
+    below every entry anyway; and the bound of a row with no entry, every
+    arc of it in the basis, is +inf and stays +inf.
 
     Each row of `sub` becomes stale, its bound lowered by `margin`, and also
     by `fell` on that side, where its entries outside the columns of `sub`
     fell by the shift; on the other side they only rose.  The left arc's row
-    becomes stale too, its bound at most its entry there, live now where it
-    was a basis arc's 0.0.
+    becomes stale too, its bound at most its entry there, which counts again
+    now that the arc has left the basis.
 
     Where the sinks of `sub` fell, any other row's entries in the columns of
     `sub` only rose, and the one basis arc into `sub` from outside is the
-    entering arc, whose row's first minimum it was.  A fresh row whose
-    cached column lies in `sub` becomes stale with its old minimum as the
-    bound, any other row keeps its cache, and no column is read.
+    entering arc, whose row's first minimum it was and which that row now
+    excludes.  A fresh row whose cached column lies in `sub` becomes stale
+    with its old minimum as the bound, any other row keeps its cache, and no
+    column is read.
 
     Where the sinks of `sub` rose, any other row keeps its entries outside
     the columns of `sub`, and its entries in them are read exactly from
@@ -415,8 +441,9 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
     or above the bound, cannot undercut.
     """
     m = u.size
-    rows = sub[sub < m]
-    cols = np.sort(sub[sub >= m] - m)
+    is_row = sub < m
+    rows, cols = sub[is_row], sub[~is_row]
+    cols -= m
     row_min[rows] -= margin if fell is None else fell + margin
     fresh[rows] = False
     row_min[li] = min(row_min.item(li), (cost.item(li, lj) - u.item(li)) - v.item(lj))
@@ -428,6 +455,7 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
         hung[cols] = True
         fresh[hung[row_arg]] = False
         return
+    cols.sort()
     block = cost_t[cols]
     block -= u
     block -= v[cols, None]
@@ -442,8 +470,10 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
         fresh[cand] = True
 
 
-def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
-    """The entering arc's source: the first row of least row_min, once fresh.
+def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol):
+    """The entering arc's source: the first row of least row_min, once fresh;
+    or, when the least bound is already at or above -reduced_tol, that row
+    as it stands, since no row has an arc left to enter.
 
     A stale row can beat the best fresh value only when its bound is at or
     below it, so those rows, and no others, are recomputed in one batch.
@@ -454,7 +484,7 @@ def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
     """
     while True:
         ei = int(row_min.argmin())
-        if fresh.item(ei):
+        if fresh.item(ei) or row_min.item(ei) >= -reduced_tol:
             return ei
         best = row_min[fresh].min(initial=np.inf)
         stale = np.flatnonzero(~(row_min > best) & ~fresh)  # NaN bounds too
@@ -463,7 +493,8 @@ def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
 
 def _exact_rows(rows, cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
     """Recompute `rows` in full, over row_chunks: each row's least reduced
-    cost fl(fl(c - u) - v), basis arcs at 0.0, and its first column at it."""
+    cost fl(fl(c - u) - v) over its non-basis arcs (basis arcs at +inf), and
+    its first column at it."""
     m, k = cost.shape
     slot = np.full(m, -1)
     slot[rows] = np.arange(rows.size)
@@ -475,8 +506,8 @@ def _exact_rows(rows, cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
         reduced = cost[part]
         reduced -= u[part, None]
         reduced -= v
-        here = (hit_row >= lo) & (hit_row < hi)
-        reduced[hit_row[here] - lo, hit_col[here]] = 0.0
+        here = slice(None) if hi - lo == rows.size else (hit_row >= lo) & (hit_row < hi)
+        reduced[hit_row[here] - lo, hit_col[here]] = np.inf
         arg = reduced.argmin(axis=1)
         row_arg[part] = arg
         row_min[part] = reduced[np.arange(hi - lo), arg]
@@ -619,7 +650,7 @@ def verify_mospa_wasserstein(scenario, x_hat: StackedState, mode: str = "same-sa
     if mode not in ("same-sample", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_target_count(x_hat.n_targets)
-    mixture, seed, m = scenario.mixture, scenario.seed, int(scenario.sample_count)
+    mixture, seed, m = scenario.mixture, scenario.seed, scenario.sample_count
 
     mass_set = gm_sample(mixture, rng.derive_seed(seed, 1), m)
     if mode == "same-sample":

@@ -46,19 +46,37 @@ MUTANTS = (
     Mutant(
         id="transport-shift-sign",
         file="transport.py",
-        old="        pot[sub] += sign[sub] * shift\n",
-        new="        pot[sub] -= sign[sub] * shift\n",
+        old="        moved_pot += sign[sub] * shift\n",
+        new="        moved_pot -= sign[sub] * shift\n",
         tests=("tests/test_transport.py::test_preorder_arrays_hold_after_every_pivot[lone-sink]",
                "tests/test_transport.py::test_pivot_path_is_pinned"),
     ),
     Mutant(
         id="transport-stale-size",
         file="transport.py",
-        old="        size[gain] += hi - lo\n",
+        old="        for x in gain:\n            size[x] += moved\n",
         new="",
         tests=("tests/test_transport.py::test_preorder_arrays_hold_after_every_pivot",
                "tests/test_transport.py::"
                "test_preorder_arrays_hold_after_every_pivot_of_a_region_problem"),
+    ),
+    # a reversed stem node that keeps its own arc to the parent it had, not
+    # the arc of the node that now hangs above it
+    Mutant(
+        id="transport-up-arc-wrong-stem-node",
+        file="transport.py",
+        old="            up_arc[stem[x]] = up_arc[stem[x - 1]]\n",
+        new="            up_arc[stem[x]] = up_arc[stem[x]]\n",
+        tests=("tests/test_transport.py::test_preorder_arrays_hold_after_every_pivot",
+               "tests/test_transport.py::test_pivot_path_is_pinned"),
+    ),
+    # the leaving arc among equal flows: the first arc position, not the last
+    Mutant(
+        id="transport-theta-tie-last",
+        file="transport.py",
+        old="        theta_pos = min(p for p in minus if flows_b[p] == theta)\n",
+        new="        theta_pos = max(p for p in minus if flows_b[p] == theta)\n",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
     ),
     Mutant(
         id="transport-no-final-recompute",
@@ -70,7 +88,7 @@ MUTANTS = (
     ),
     # the row pricing cache (transport._reprice, _select, _exact_rows): the
     # column block only where the re-hung sinks rose, the bounds of stale
-    # rows, the strict drop, the basis arcs' 0.0 and the fresh argmin
+    # rows, the strict drop, the basis arcs left out and the fresh argmin
     Mutant(
         id="transport-reprice-block-on-both-sides",
         file="transport.py",
@@ -89,8 +107,17 @@ MUTANTS = (
     Mutant(
         id="transport-reprice-row-scatter-dropped",
         file="transport.py",
-        old="        reduced[hit_row[here] - lo, hit_col[here]] = 0.0\n",
+        old="        reduced[hit_row[here] - lo, hit_col[here]] = np.inf\n",
         new="",
+        tests=(_EVERY_PIVOT + "_of_a_region_problem", _EVERY_PIVOT),
+    ),
+    # basis arcs priced as 0.0 again: a row with no arc left to enter caches
+    # 0.0 instead of its least non-basis entry
+    Mutant(
+        id="transport-basis-entry-zero",
+        file="transport.py",
+        old="        reduced[hit_row[here] - lo, hit_col[here]] = np.inf\n",
+        new="        reduced[hit_row[here] - lo, hit_col[here]] = 0.0\n",
         tests=(_EVERY_PIVOT + "_of_a_region_problem", _EVERY_PIVOT),
     ),
     Mutant(
@@ -154,10 +181,31 @@ MUTANTS = (
     Mutant(
         id="transport-select-stale-argmin",
         file="transport.py",
-        old="        if fresh.item(ei):\n            return ei\n",
+        old="        if fresh.item(ei) or row_min.item(ei) >= -reduced_tol:\n            return ei\n",
         new="        return ei\n",
         tests=(_EVERY_PIVOT + "_of_a_region_problem",
                "tests/test_transport.py::test_pivot_path_is_pinned"),
+    ),
+    # the stop on a stale bound: a bound of exactly -reduced_tol already
+    # leaves no arc to enter, so nothing is recomputed
+    Mutant(
+        id="transport-select-stop-gt",
+        file="transport.py",
+        old="row_min.item(ei) >= -reduced_tol:",
+        new="row_min.item(ei) > -reduced_tol:",
+        tests=("tests/test_transport.py::"
+               "test_a_stale_bound_at_the_tolerance_stops_without_a_recompute",),
+    ),
+    # the stop only on a fresh row: the selection recomputes stale rows that
+    # cannot enter (in the captured benchmark solves the least bound is never
+    # a stale one at or above -reduced_tol, so only the crafted cache sees it)
+    Mutant(
+        id="transport-select-no-stale-stop",
+        file="transport.py",
+        old="        if fresh.item(ei) or row_min.item(ei) >= -reduced_tol:\n",
+        new="        if fresh.item(ei):\n",
+        tests=("tests/test_transport.py::"
+               "test_a_stale_bound_at_the_tolerance_stops_without_a_recompute",),
     ),
     # NaN bounds (an all-infinite row) left out of the selection's batch:
     # it recomputes nothing and spins (a timeout; it allocates nothing new)
@@ -196,10 +244,28 @@ MUTANTS = (
         id="transport-greedy-no-masked-fallback",
         file="transport.py",
         old="                j = int(np.argmin(np.where(avail, cost[i], np.inf)))\n"
-            "                if not avail[j]:\n"
+            "                if not live[j]:\n"
             "                    break  # capacity exhausted by rounding slack\n",
         new="                continue\n",
         tests=("tests/test_transport.py::test_simplex_matches_linprog_medium",),
+    ),
+    # a sink exhausted only below zero: one left at exactly 0.0 stays live,
+    # and the start takes arcs of zero flow from it forever (memory)
+    Mutant(
+        id="transport-greedy-exhausted-lt",
+        file="transport.py",
+        old="            if r <= 0:\n",
+        new="            if r < 0:\n",
+        tests=("tests/test_transport.py::test_simplex_matches_linprog_medium",),
+    ),
+    # tree completion joins a component only to home, the components before
+    # it; any sink of the start may close a cycle
+    Mutant(
+        id="transport-join-beyond-home",
+        file="transport.py",
+        old="cost[i, sinks[:home_sinks]]",
+        new="cost[i, sinks]",
+        tests=("tests/test_transport.py::test_pivot_path_is_pinned",),
     ),
     # the final flows (transport._resolve_tree_flows): a leaf is a node of
     # degree 1

@@ -1,8 +1,10 @@
 """Run the mutant catalogue: every entry must be killed by its tests.
 
-    python tests/mutants/run.py
+    python tests/mutants/run.py [ID_PREFIX ...]
 
-For each entry the script copies `src/` to a temporary directory, applies the
+With no argument every entry runs; with prefixes (such as `transport-`) only
+the entries whose id starts with one of them, and a prefix that matches no
+entry is a usage error (exit 2).  For each entry the script copies `src/` to a temporary directory, applies the
 entry there, and runs `pytest -q -x` on the entry's tests with the copy first
 on the import path, in a child whose address space is capped at
 MEMORY_LIMIT bytes.  It reports each entry as killed (a test failed),
@@ -73,20 +75,35 @@ def run_entry(mutant, workdir: Path) -> str:
     return "stale"
 
 
-def main() -> int:
+def select(prefixes) -> list:
+    """The catalogue entries whose id starts with one of `prefixes`, in
+    catalogue order; every entry when there are none.  Raises ValueError on a
+    prefix that matches no entry."""
+    unmatched = [p for p in prefixes if not any(mu.id.startswith(p) for mu in MUTANTS)]
+    if unmatched:
+        raise ValueError(f"no catalogue entry id starts with {', '.join(unmatched)}")
+    return [mu for mu in MUTANTS if not prefixes or mu.id.startswith(tuple(prefixes))]
+
+
+def main(argv) -> int:
+    try:
+        mutants = select(argv)
+    except ValueError as exc:
+        print(f"run.py: {exc}", file=sys.stderr)
+        return 2
     counts: dict[str, int] = {}
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mospa-mutants-") as tmp:
-        for mutant in MUTANTS:
+        for mutant in mutants:
             t0 = time.perf_counter()
             outcome = run_entry(mutant, Path(tmp))
             counts[outcome] = counts.get(outcome, 0) + 1
             print(f"{outcome:8s} {mutant.id} ({time.perf_counter() - t0:.1f} s)", flush=True)
     summary = ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))
-    print(f"{len(MUTANTS)} mutants: {summary} in {time.perf_counter() - start:.1f} s")
+    print(f"{len(mutants)} mutants: {summary} in {time.perf_counter() - start:.1f} s")
     killed = sum(counts.get(outcome, 0) for outcome in ("killed", "timeout", "memory"))
-    return 0 if killed == len(MUTANTS) else 1
+    return 0 if killed == len(mutants) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

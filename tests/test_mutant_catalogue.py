@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests" / "mutants"))
 
 from catalogue import MUTANTS  # noqa: E402
+from run import select  # noqa: E402
 
 
 def test_catalogue_ids_are_unique():
@@ -48,3 +49,13 @@ def test_catalogue_node_ids_are_collected():
     # an id without parameters names every case of its test
     functions = {node.split("[")[0] for node in collected}
     assert sorted(node for node in nodes if node not in collected | functions) == []
+
+
+def test_run_selects_entries_by_id_prefix():
+    assert select([]) == list(MUTANTS)
+    transport = select(["transport-"])
+    assert transport and all(mu.id.startswith("transport-") for mu in transport)
+    both = select(["states-", "transport-"])
+    assert both == [mu for mu in MUTANTS if mu in transport or mu.id.startswith("states-")]
+    with pytest.raises(ValueError, match="no catalogue entry id starts with nothing-"):
+        select(["transport-", "nothing-"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mospa import Scenario, ScenarioParseError, parse_scenario, scenario_digest
+from conftest import two_mode_mixture
 from mospa.scenarios import scenario_to_dict
 
 MINIMAL = {
@@ -133,3 +134,23 @@ def test_scenario_validates_mixture_shape():
     mix = random_mixture(np.random.default_rng(0), 2, 1, 1)
     with pytest.raises(ValueError):
         Scenario(3, 1, mix, seed=0, sample_count=5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_count", 200.0), ("sample_count", 200.7), ("sample_count", True),
+    ("seed", 20.0), ("seed", False),
+])
+def test_scenario_refuses_a_count_or_seed_that_is_not_an_integer(field, value):
+    # 200.0 would fail later inside gm_sample and 200.7 would run on 200
+    # samples; a bool is an int to Python but not a count or a seed
+    mix = two_mode_mixture(1.0)
+    fields = {"seed": 20, "sample_count": 200, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Scenario(2, 1, mix, **fields)
+
+
+def test_scenario_keeps_numpy_integers_as_ints():
+    scen = Scenario(2, 1, two_mode_mixture(1.0), seed=np.uint64(20), sample_count=np.int64(200))
+    assert (scen.seed, scen.sample_count) == (20, 200)
+    assert type(scen.seed) is int and type(scen.sample_count) is int
+    assert scenario_digest(scen) == scenario_digest(scen.with_overrides(seed=20))

@@ -725,9 +725,10 @@ def region_problem():
     return _two_mode_region_problem(7, 6, 2000)
 
 
-def _integer_costs(rng, m, k):
-    # few distinct integer costs: exact ties among reduced costs everywhere
-    return (rng.integers(0, 4, size=(m, k)).astype(float),
+def _integer_costs(rng, m, k, high=4):
+    # integer costs below `high`: every reduced cost is exact, and with the
+    # default few distinct values they tie everywhere
+    return (rng.integers(0, high, size=(m, k)).astype(float),
             normalized_weights(rng, m), normalized_weights(rng, k))
 
 
@@ -766,12 +767,13 @@ def test_simplex_memory_is_a_few_cost_matrices(region_problem):
 
 
 def _assert_preorder(tree):
-    """The basis tree's preorder arrays agree with each other and with its
+    """The basis tree's arrays and lists agree with each other and with its
     arcs: order and at are inverse, size follows pred, every child's slice
     nests inside its parent's after the parent (with the sizes, each subtree
-    is one slice), pred's edges are the basis arcs, and the potentials close
-    every basis arc."""
-    order, at, pred, size = (tree[name] for name in ("order", "at", "pred", "size"))
+    is one slice), pred's edges are the basis arcs, each node's up_arc names
+    the arc to its parent, and the potentials close every basis arc."""
+    order, at = tree["order"], tree["at"]
+    pred, size = np.asarray(tree["pred"]), np.asarray(tree["size"])
     m, nodes = tree["m"], order.size
     assert np.array_equal(np.sort(order), np.arange(nodes))
     assert np.array_equal(at[order], np.arange(nodes))
@@ -783,10 +785,14 @@ def _assert_preorder(tree):
     assert np.array_equal(size, 1 + children)
     assert np.all(at[parent] < at[child])
     assert np.all(at[child] + size[child] <= at[parent] + size[parent])
+    arc_i, arc_j = tree["arc_i"], tree["arc_j"]
     edges = {(min(x, y), max(x, y)) for x, y in zip(child.tolist(), parent.tolist())}
-    assert edges == set(zip(tree["arc_i"].tolist(), (m + tree["arc_j"]).tolist()))
+    assert edges == set(zip(arc_i.tolist(), (m + arc_j).tolist()))
+    up = np.asarray(tree["up_arc"])[child]
+    ends = np.sort(np.stack((child, parent)), axis=0)
+    assert np.array_equal(np.stack((arc_i[up], m + arc_j[up])), ends)
     cost, pot = tree["cost"], tree["pot"]
-    slack = cost[tree["arc_i"], tree["arc_j"]] - pot[tree["arc_i"]] - pot[m + tree["arc_j"]]
+    slack = cost[arc_i, arc_j] - pot[arc_i] - pot[m + arc_j]
     assert np.abs(slack).max() <= 1e-12 * max(1.0, float(cost.max()))
 
 
@@ -821,10 +827,11 @@ def test_preorder_arrays_hold_after_every_pivot(monkeypatch, build):
 
 
 def _dense_first_minimum(cost, u, v, arc_i, arc_j):
-    """Each row's least reduced cost (c_ij - u_i) - v_j, basis arcs set to
-    0.0, and its first column, from the whole matrix."""
+    """Each row's least reduced cost (c_ij - u_i) - v_j over its non-basis
+    arcs (basis arcs set to +inf), and its first column, from the whole
+    matrix."""
     reduced = (cost - u[:, None]) - v
-    reduced[arc_i, arc_j] = 0.0
+    reduced[arc_i, arc_j] = np.inf
     arg = reduced.argmin(axis=1)
     return reduced[np.arange(arg.size), arg], arg
 
@@ -843,24 +850,30 @@ def _assert_cache(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
 def check_every_pivot(monkeypatch):
     """Check the row pricing cache against a dense first minimum of the same
     potentials and basis at every selection, as the refresh left it and as
-    the selection leaves it, and check that the selected row and its cached
-    column are the row-major first minimum of the whole matrix.  Returns a
-    record of the run: the side of every refresh (True where the re-hung
-    sinks fell and no column was read), the number of selections and the
-    number of stale rows whose bound was checked."""
+    the selection leaves it.  At a selection that enters, the selected row
+    and its cached column must be the row-major first minimum of the whole
+    matrix; at the one that stops, every dense entry must be at or above
+    -reduced_tol.  Returns a record of the run: the side of every refresh
+    (True where the re-hung sinks fell and no column was read), the number
+    of selections and of stops, and the number of stale rows whose bound was
+    checked."""
     select, reprice = transport._select, transport._reprice
-    run = {"fell": [], "selections": 0, "stale": 0}
+    run = {"fell": [], "selections": 0, "stops": 0, "stale": 0}
 
-    def checking_select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
+    def checking_select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol):
         cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
         run["stale"] += _assert_cache(*cache)[2]
-        ei = select(*cache)
+        ei = select(*cache, reduced_tol)
         want_min, want_arg, _ = _assert_cache(*cache)
+        run["selections"] += 1
+        if row_min[ei] >= -reduced_tol:
+            run["stops"] += 1
+            assert want_min.min() >= -reduced_tol
+            return ei
         # the first least row minimum's first column is the matrix's first
         # least entry in row-major order
         first = int(want_min.argmin())
         assert fresh[ei] and (ei, row_arg[ei]) == (first, want_arg[first])
-        run["selections"] += 1
         return ei
 
     def recording_reprice(*args):
@@ -877,6 +890,7 @@ def test_row_cache_is_exact_or_a_bound_at_every_pivot_of_a_region_problem(
     run = check_every_pivot(monkeypatch)
     pivots = _transportation_simplex(*region_problem)[3]
     assert pivots >= 100 and run["selections"] == len(run["fell"]) + 1 == pivots + 1
+    assert run["stops"] == 1
     # both refresh rules ran many times, and many bounds were checked
     assert min(sum(run["fell"]), pivots - sum(run["fell"])) >= 20
     assert run["stale"] >= pivots
@@ -887,7 +901,7 @@ def test_row_cache_is_exact_or_a_bound_at_every_pivot_of_a_region_problem(
 def test_row_cache_is_exact_or_a_bound_at_every_pivot(monkeypatch, build):
     run = check_every_pivot(monkeypatch)
     sol = solve_transport(*build())
-    assert sol.pivots > 0 and run["selections"] == sol.pivots + 1
+    assert sol.pivots > 0 and run["selections"] == sol.pivots + 1 and run["stops"] == 1
     assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
 
 
@@ -895,7 +909,7 @@ def test_row_cache_is_exact_or_a_bound_at_every_pivot_on_integer_costs(monkeypat
     run = check_every_pivot(monkeypatch)
     rng = np.random.default_rng(31)
     pivots = sum(_transportation_simplex(*_integer_costs(rng, 120, 24))[3] for _ in range(4))
-    assert run["selections"] == pivots + 4
+    assert run["selections"] == pivots + 4 and run["stops"] == 4
     assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
 
 
@@ -910,7 +924,7 @@ def test_row_cache_is_exact_or_a_bound_at_every_pivot_at_a_tiny_cost_scale(
         cost = rng.random((15, 6)) * 1e-8
         pivots += _transportation_simplex(cost, normalized_weights(rng, 15),
                                           normalized_weights(rng, 6))[3]
-    assert run["selections"] == pivots + 20
+    assert run["selections"] == pivots + 20 and run["stops"] == 20
     assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
 
 
@@ -938,18 +952,19 @@ def test_a_source_without_a_finite_cost_stops_at_the_pivot_cap(monkeypatch):
 
 
 def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
-    # after a crafted pivot: basis arcs (0, 0), (1, 0), (1, 1), (2, 0); the
-    # arc (0, 1) left and (1, 1) entered, and sink 1, re-hung from source 1,
-    # is the whole subtree; its potential fell to 1.0.  Row 0's cached first
-    # minimum lies outside the subtree's column, but the left arc's entry is
-    # live now and below it, so its bound must drop to that entry.  Row 1's
-    # cached column is the subtree's, so its minimum is only a bound now, and
-    # row 2 keeps its cache: its entry in that column lies above its minimum.
+    # after a crafted pivot: basis arcs (0, 0), (0, 2), (1, 0), (1, 1), (2, 0);
+    # the arc (0, 1) left and (1, 1) entered, and sink 1, re-hung from
+    # source 1, is the whole subtree; its potential fell by 1.0, to 1.0.
+    # Every arc of row 0 was in the basis, so its cache was +inf; the left
+    # arc's entry is live now and below it, so its bound must drop to that
+    # entry.  Row 1's cached column is the subtree's (the entering arc, now
+    # in the basis), so its minimum is only a bound now, and row 2 keeps its
+    # cache: its entry in that column rose and lies above its minimum.
     m = 3
-    cost = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
-    u, v = np.zeros(3), np.array([0.0, 1.0])
-    arc_i, arc_j = np.array([0, 1, 1, 2]), np.array([0, 0, 1, 0])
-    row_min, row_arg = np.array([0.0, -0.5, 0.0]), np.array([0, 1, 0])
+    cost = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 3.0, 0.0]])
+    u, v = np.zeros(3), np.array([0.0, 1.0, 0.0])
+    arc_i, arc_j = np.array([0, 0, 1, 1, 2]), np.array([0, 2, 0, 1, 0])
+    row_min, row_arg = np.array([np.inf, -1.0, 0.0]), np.array([0, 1, 2])
     fresh = np.ones(3, dtype=bool)
     live = cost[0, 1] - u[0] - v[1]
     assert live < row_min[0] and row_arg[0] != 1
@@ -957,9 +972,45 @@ def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
     transport._reprice(np.array([m + 1]), cost, None, u, v, row_min, row_arg, fresh,
                        0, 1, 1.0, 1e-15)
     assert fresh.tolist() == [False, False, True]
-    assert (row_min[0], row_min[1]) == (live, -0.5) and (row_min[2], row_arg[2]) == (0.0, 0)
+    assert (row_min[0], row_min[1]) == (live, -1.0) and (row_min[2], row_arg[2]) == (0.0, 2)
     cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
     _assert_cache(*cache)
-    assert transport._select(*cache) == 0
+    assert transport._select(*cache, 3e-13) == 0
     assert fresh[0] and (row_min[0], row_arg[0]) == (live, 1)
     _assert_cache(*cache)
+
+
+def test_a_stale_bound_at_the_tolerance_stops_without_a_recompute():
+    # basis arcs (0, 0), (0, 1), (1, 0): row 0 has no arc left to enter, and
+    # row 1's one entry, 0.0, lies above its stale bound of exactly
+    # -reduced_tol.  No row can enter, so the selection returns that row as
+    # it stands and recomputes none
+    cost = np.array([[0.0, 1.0], [0.0, 1.0]])
+    u, v = np.zeros(2), np.array([0.0, 1.0])
+    arc_i, arc_j = np.array([0, 0, 1]), np.array([0, 1, 0])
+    reduced_tol = 1e-13
+    row_min, row_arg = np.array([np.inf, -reduced_tol]), np.array([0, 0])
+    fresh = np.array([True, False])
+    cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+    _assert_cache(*cache)
+    assert transport._select(*cache, reduced_tol) == 1
+    assert fresh.tolist() == [True, False] and row_min[1] == -reduced_tol
+
+
+def test_pricing_recomputes_few_rows_on_integer_costs(monkeypatch):
+    # the work of the row pricing: every row that _exact_rows recomputes,
+    # the start's full pass included, over four solves whose integer costs
+    # make every reduced cost exact, so the count is the same on any machine.
+    # Pricing basis arcs as 0.0 recomputed 131751 rows here
+    exact_rows, recomputed = transport._exact_rows, []
+
+    def counting(rows, *args):
+        recomputed.append(rows.size)
+        return exact_rows(rows, *args)
+
+    monkeypatch.setattr(transport, "_exact_rows", counting)
+    rng = np.random.default_rng(31)
+    pivots = sum(_transportation_simplex(*_integer_costs(rng, 400, 40, high=100))[3]
+                 for _ in range(4))
+    assert pivots == 1304
+    assert sum(recomputed) <= 122218
