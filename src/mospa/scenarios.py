@@ -61,9 +61,9 @@ class Scenario:
     def with_overrides(self, seed=None, sample_count=None) -> "Scenario":
         out = self
         if seed is not None:
-            out = replace(out, seed=int(seed))
+            out = replace(out, seed=seed)
         if sample_count is not None:
-            out = replace(out, sample_count=int(sample_count))
+            out = replace(out, sample_count=sample_count)
         return out
 
 

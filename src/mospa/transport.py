@@ -23,15 +23,13 @@ fresh row whose column lies in the slice becomes stale too, and where they
 rose every other row compares its cache with the slice's columns.  Before
 each pivot the stale rows whose bound could beat the best fresh value are
 recomputed, so the entering arc is the row-major first minimum of the whole
-matrix, as if every row were exact; once the least bound reaches the
-stopping tolerance no arc can enter, and the simplex stops without a
-recompute.  Nothing is approximate; optimality is certified before
-returning, by dual feasibility checked from the costs and by the dual gap.
+matrix, as if every row were exact.  Nothing is approximate; optimality is
+certified before returning, by dual feasibility checked from the costs and
+by the dual gap.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -181,7 +179,8 @@ def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
     """
     m, k = cost.shape
     seen = [False] * (m + k)
-    comps = []
+    home_srcs: list[int] = []
+    home_sinks: list[int] = []
     for start in range(m + k):
         if seen[start]:
             continue
@@ -195,27 +194,22 @@ def _complete_to_tree(adj, arc_i, arc_j, flow, cost):
                     comp.append(y)
                     stack.append(y)
         comp.sort()
-        comps.append(comp)
-    # home after each component is a prefix of these
-    srcs = np.array([n for comp in comps for n in comp if n < m], dtype=np.intp)
-    sinks = np.array([n - m for comp in comps for n in comp if n >= m], dtype=np.intp)
-    home_srcs = home_sinks = 0
-    for c, comp in enumerate(comps):
-        n_srcs = bisect.bisect_left(comp, m)
-        if c:
-            if n_srcs:
-                i = comp[0]
-                j = int(sinks[np.argmin(cost[i, sinks[:home_sinks]])])
+        srcs = [n for n in comp if n < m]
+        sinks = [n - m for n in comp if n >= m]
+        if start:
+            if srcs:
+                i = srcs[0]
+                j = home_sinks[int(np.argmin(cost[i, home_sinks]))]
             else:
-                j = comp[0] - m
-                i = int(srcs[np.argmin(cost[srcs[:home_srcs], j])])
+                j = sinks[0]
+                i = home_srcs[int(np.argmin(cost[home_srcs, j]))]
             arc_i.append(i)
             arc_j.append(j)
             flow.append(0.0)
             adj[i].append(m + j)
             adj[m + j].append(i)
-        home_srcs += n_srcs
-        home_sinks += len(comp) - n_srcs
+        home_srcs += srcs
+        home_sinks += sinks
 
 
 def _plant(adj, m):
@@ -310,7 +304,7 @@ def _transportation_simplex(cost, a, b):
     max_pivots = 50 * (m + k) + 1000
     pivots = 0
     while True:
-        ei = _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol)
+        ei = _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
         if row_min[ei] >= -reduced_tol:
             break
         ej = row_arg.item(ei)
@@ -382,10 +376,8 @@ def _transportation_simplex(cost, a, b):
         # sources shift by the change at top and sinks by its negative (swapped
         # if top is a sink); the final recompute drops the rounding drift
         shift = (cost.item(ei, ej) - pot.item(parent) - pot.item(top)) * sign.item(top)
-        moved_pot = pot[sub]
-        moved_pot += sign[sub] * shift
-        pot[sub] = moved_pot
-        pot_max = max(pot_max, float(moved_pot.max()), -float(moved_pot.min()))
+        pot[sub] += sign[sub] * shift
+        pot_max = max(pot_max, float(np.abs(pot[sub]).max()))
         # with the entering sink on top, shift is minus the entering arc's
         # reduced cost, > 0: the slice's sink potentials only fall
         _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj,
@@ -441,9 +433,8 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
     or above the bound, cannot undercut.
     """
     m = u.size
-    is_row = sub < m
-    rows, cols = sub[is_row], sub[~is_row]
-    cols -= m
+    rows = sub[sub < m]
+    cols = np.sort(sub[sub >= m] - m)
     row_min[rows] -= margin if fell is None else fell + margin
     fresh[rows] = False
     row_min[li] = min(row_min.item(li), (cost.item(li, lj) - u.item(li)) - v.item(lj))
@@ -455,7 +446,6 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
         hung[cols] = True
         fresh[hung[row_arg]] = False
         return
-    cols.sort()
     block = cost_t[cols]
     block -= u
     block -= v[cols, None]
@@ -470,10 +460,8 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
         fresh[cand] = True
 
 
-def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol):
-    """The entering arc's source: the first row of least row_min, once fresh;
-    or, when the least bound is already at or above -reduced_tol, that row
-    as it stands, since no row has an arc left to enter.
+def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
+    """The entering arc's source: the first row of least row_min, once fresh.
 
     A stale row can beat the best fresh value only when its bound is at or
     below it, so those rows, and no others, are recomputed in one batch.
@@ -484,7 +472,7 @@ def _select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol):
     """
     while True:
         ei = int(row_min.argmin())
-        if fresh.item(ei) or row_min.item(ei) >= -reduced_tol:
+        if fresh.item(ei):
             return ei
         best = row_min[fresh].min(initial=np.inf)
         stale = np.flatnonzero(~(row_min > best) & ~fresh)  # NaN bounds too
@@ -506,7 +494,7 @@ def _exact_rows(rows, cost, u, v, arc_i, arc_j, row_min, row_arg, fresh):
         reduced = cost[part]
         reduced -= u[part, None]
         reduced -= v
-        here = slice(None) if hi - lo == rows.size else (hit_row >= lo) & (hit_row < hi)
+        here = (hit_row >= lo) & (hit_row < hi)
         reduced[hit_row[here] - lo, hit_col[here]] = np.inf
         arg = reduced.argmin(axis=1)
         row_arg[part] = arg

@@ -147,6 +147,10 @@ def test_scenario_refuses_a_count_or_seed_that_is_not_an_integer(field, value):
     fields = {"seed": 20, "sample_count": 200, field: value}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         Scenario(2, 1, mix, **fields)
+    # an override is checked the same way, not truncated
+    scen = Scenario(2, 1, mix, seed=20, sample_count=200)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        scen.with_overrides(**{field: value})
 
 
 def test_scenario_keeps_numpy_integers_as_ints():

@@ -860,12 +860,14 @@ def check_every_pivot(monkeypatch):
     select, reprice = transport._select, transport._reprice
     run = {"fell": [], "selections": 0, "stops": 0, "stale": 0}
 
-    def checking_select(cost, u, v, arc_i, arc_j, row_min, row_arg, fresh, reduced_tol):
-        cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
+    def checking_select(*cache):
         run["stale"] += _assert_cache(*cache)[2]
-        ei = select(*cache, reduced_tol)
+        ei = select(*cache)
         want_min, want_arg, _ = _assert_cache(*cache)
+        row_min, row_arg, fresh = cache[5:]
         run["selections"] += 1
+        assert fresh[ei]
+        reduced_tol = sys._getframe(1).f_locals["reduced_tol"]
         if row_min[ei] >= -reduced_tol:
             run["stops"] += 1
             assert want_min.min() >= -reduced_tol
@@ -873,7 +875,7 @@ def check_every_pivot(monkeypatch):
         # the first least row minimum's first column is the matrix's first
         # least entry in row-major order
         first = int(want_min.argmin())
-        assert fresh[ei] and (ei, row_arg[ei]) == (first, want_arg[first])
+        assert (ei, row_arg[ei]) == (first, want_arg[first])
         return ei
 
     def recording_reprice(*args):
@@ -975,26 +977,9 @@ def test_falling_sinks_refresh_the_leaving_row_and_read_no_column():
     assert (row_min[0], row_min[1]) == (live, -1.0) and (row_min[2], row_arg[2]) == (0.0, 2)
     cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
     _assert_cache(*cache)
-    assert transport._select(*cache, 3e-13) == 0
+    assert transport._select(*cache) == 0
     assert fresh[0] and (row_min[0], row_arg[0]) == (live, 1)
     _assert_cache(*cache)
-
-
-def test_a_stale_bound_at_the_tolerance_stops_without_a_recompute():
-    # basis arcs (0, 0), (0, 1), (1, 0): row 0 has no arc left to enter, and
-    # row 1's one entry, 0.0, lies above its stale bound of exactly
-    # -reduced_tol.  No row can enter, so the selection returns that row as
-    # it stands and recomputes none
-    cost = np.array([[0.0, 1.0], [0.0, 1.0]])
-    u, v = np.zeros(2), np.array([0.0, 1.0])
-    arc_i, arc_j = np.array([0, 0, 1]), np.array([0, 1, 0])
-    reduced_tol = 1e-13
-    row_min, row_arg = np.array([np.inf, -reduced_tol]), np.array([0, 0])
-    fresh = np.array([True, False])
-    cache = (cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
-    _assert_cache(*cache)
-    assert transport._select(*cache, reduced_tol) == 1
-    assert fresh.tolist() == [True, False] and row_min[1] == -reduced_tol
 
 
 def test_pricing_recomputes_few_rows_on_integer_costs(monkeypatch):
