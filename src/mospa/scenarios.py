@@ -99,7 +99,7 @@ def parse_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep to parse
             raise ScenarioParseError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioParseError("top level must be a JSON object")

@@ -133,9 +133,9 @@ def _greedy_basis(cost, a, b):
     """Feasible acyclic start: sources in order, cheapest sink with capacity.
     Returns its arcs (arc_i, arc_j, flow) and adj, each node's neighbours."""
     m, k = cost.shape
+    # a sink is live while res[j] > 0; take is at most res[j], so an
+    # exhausted sink's residual is exactly 0.0
     res = b.tolist()
-    live = [r > 0 for r in res]
-    avail = np.array(live)  # live as an array, for the masked search
     # each row's first cheapest sink; the masked search runs only once that
     # sink is exhausted, and finds the same first minimum while it is not
     first = cost.argmin(axis=1).tolist()
@@ -147,9 +147,9 @@ def _greedy_basis(cost, a, b):
     for i, need in enumerate(a.tolist()):
         while need > slack:
             j = first[i]
-            if not live[j]:
-                j = int(np.argmin(np.where(avail, cost[i], np.inf)))
-                if not live[j]:
+            if res[j] <= 0:
+                j = int(np.argmin(np.where(np.array(res) > 0, cost[i], np.inf)))
+                if res[j] <= 0:
                     break  # capacity exhausted by rounding slack
             take = min(need, res[j])
             arc_i.append(i)
@@ -158,11 +158,7 @@ def _greedy_basis(cost, a, b):
             adj[i].append(m + j)
             adj[m + j].append(i)
             need -= take
-            r = res[j] - take
-            if r <= 0:
-                r = 0.0
-                live[j] = avail[j] = False
-            res[j] = r
+            res[j] -= take
     return arc_i, arc_j, flow, adj
 
 
@@ -297,9 +293,9 @@ def _transportation_simplex(cost, a, b):
     row_arg = np.empty(m, dtype=np.intp)
     fresh = np.empty(m, dtype=bool)
     _exact_rows(np.arange(m), cost, u, v, arc_i, arc_j, row_min, row_arg, fresh)
-    # the largest |cost| and |potential| so far: _reprice's rounding margin
+    # _reprice's rounding margin, from the largest |cost| once per solve
     c_abs = max(cmax, -float(cost.min(initial=0.0)))
-    pot_max = float(np.abs(pot).max())
+    margin = 16 * _EPS * (m + k + 1) * c_abs
 
     max_pivots = 50 * (m + k) + 1000
     pivots = 0
@@ -377,11 +373,10 @@ def _transportation_simplex(cost, a, b):
         # if top is a sink); the final recompute drops the rounding drift
         shift = (cost.item(ei, ej) - pot.item(parent) - pot.item(top)) * sign.item(top)
         pot[sub] += sign[sub] * shift
-        pot_max = max(pot_max, float(np.abs(pot[sub]).max()))
         # with the entering sink on top, shift is minus the entering arc's
         # reduced cost, > 0: the slice's sink potentials only fall
         _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj,
-                 shift if top >= m else None, 16 * _EPS * (c_abs + pot_max))
+                 shift if top >= m else None, margin)
 
     pot = _potentials(order, pred, cost, m)  # every potential afresh from the costs
     return _resolve_tree_flows(arc_i, arc_j, a, b), pot[:m], pot[m:], pivots
@@ -401,14 +396,16 @@ def _reprice(sub, cost, cost_t, u, v, row_min, row_arg, fresh, li, lj, fell, mar
 
     `margin` covers what rounding adds to a shift.  An entry lies within
     eps/2 (2 C + 3 P) of c - u - v, with C the largest |cost| and P the
-    largest |potential| so far, and a shifted potential is off its exact
-    shift by eps/2 P: an entry of a row of `sub` falls by at most
-    2 eps (C + 2 P) beyond the shift.  The bound's update rounds by at most
-    2.5 eps (C + 2 P) more while the bound lies within 4 (C + 2 P) of zero,
-    and 16 eps (C + P) covers the sum.  A bound above zero is at most an
-    entry, so it lies within that range; a bound further below zero lies
-    below every entry anyway; and the bound of a row with no entry, every
-    arc of it in the basis, is +inf and stays +inf.
+    largest |potential|, and a shifted potential is off its exact shift by
+    eps/2 P: an entry of a row of `sub` falls by at most 2 eps (C + 2 P)
+    beyond the shift.  The bound's update rounds by at most 2.5 eps (C + 2 P)
+    more while the bound lies within 4 (C + 2 P) of zero, and 16 eps (C + P)
+    covers the sum.  P is at most (m + k) C: a potential is an alternating
+    sum of at most m + k - 1 costs along its tree path, and the pivots'
+    rounding drift stays far below the C to spare.  A bound above zero is
+    at most an entry, so it lies within that range; a bound further below
+    zero lies below every entry anyway; and the bound of a row with no
+    entry, every arc of it in the basis, is +inf and stays +inf.
 
     Each row of `sub` becomes stale, its bound lowered by `margin`, and also
     by `fell` on that side, where its entries outside the columns of `sub`

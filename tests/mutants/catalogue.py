@@ -173,10 +173,27 @@ MUTANTS = (
     Mutant(
         id="transport-reprice-no-margin",
         file="transport.py",
-        old="16 * _EPS * (c_abs + pot_max))",
-        new="0.0)",
+        old="    margin = 16 * _EPS * (m + k + 1) * c_abs\n",
+        new="    margin = 0.0\n",
         tests=(_EVERY_PIVOT + "_of_a_region_problem",
                _EVERY_PIVOT + "_at_a_tiny_cost_scale"),
+    ),
+    # a margin drawn from the costs alone, without the potentials' share
+    Mutant(
+        id="transport-reprice-margin-without-potentials",
+        file="transport.py",
+        old="16 * _EPS * (m + k + 1) * c_abs",
+        new="16 * _EPS * c_abs",
+        tests=(_EVERY_PIVOT + "_when_potentials_dwarf_the_costs",),
+    ),
+    # every cut-off row stale at -inf: the same pivots, but each selection
+    # then recomputes every such row
+    Mutant(
+        id="transport-reprice-margin-infinite",
+        file="transport.py",
+        old="    margin = 16 * _EPS * (m + k + 1) * c_abs\n",
+        new="    margin = np.inf\n",
+        tests=("tests/test_transport.py::test_pricing_recomputes_few_rows_on_a_region_problem",),
     ),
     Mutant(
         id="transport-select-stale-argmin",
@@ -222,8 +239,8 @@ MUTANTS = (
     Mutant(
         id="transport-greedy-no-masked-fallback",
         file="transport.py",
-        old="                j = int(np.argmin(np.where(avail, cost[i], np.inf)))\n"
-            "                if not live[j]:\n"
+        old="                j = int(np.argmin(np.where(np.array(res) > 0, cost[i], np.inf)))\n"
+            "                if res[j] <= 0:\n"
             "                    break  # capacity exhausted by rounding slack\n",
         new="                continue\n",
         tests=("tests/test_transport.py::test_simplex_matches_linprog_medium",),
@@ -233,8 +250,8 @@ MUTANTS = (
     Mutant(
         id="transport-greedy-exhausted-lt",
         file="transport.py",
-        old="            if r <= 0:\n",
-        new="            if r < 0:\n",
+        old="            j = first[i]\n            if res[j] <= 0:\n",
+        new="            j = first[i]\n            if res[j] < 0:\n",
         tests=("tests/test_transport.py::test_simplex_matches_linprog_medium",),
     ),
     # the final flows (transport._resolve_tree_flows): a leaf is a node of
@@ -477,5 +494,15 @@ MUTANTS = (
         new="    if shape is not None:\n",
         tests=("tests/test_value_types.py::test_a_frozen_owning_array_is_kept",
                "tests/test_value_types.py::test_rewrapping_an_empirical_measure_copies_nothing"),
+    ),
+    # a scenario nested too deep to parse: json's RecursionError is a
+    # RuntimeError, which the CLI would report as a solver error (exit 2)
+    Mutant(
+        id="scenarios-nesting-not-a-parse-error",
+        file="scenarios.py",
+        old="        except (json.JSONDecodeError, RecursionError) as exc:  # too deep to parse\n",
+        new="        except json.JSONDecodeError as exc:\n",
+        tests=("tests/test_cli.py::test_a_scenario_nested_too_deep_to_parse_exits_1",
+               "tests/test_scenarios.py::test_an_unreadable_file_is_refused"),
     ),
 )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -205,10 +206,7 @@ def test_exit_codes(tmp_path):
     res = run_cli(["mospa", "--scenario", FIG, "--x-hat=1,2,3",
                    "--output", str(tmp_path / "y.csv")])
     assert res.returncode == 1
-    # verification failure: prop1 with a weight-perturbed diagram cannot be
-    # triggered from the CLI (weights are fixed to zero), so force exit 2 via
-    # an independent verify with an absurdly small sample count? Instead use
-    # gospa without a q_matrix in the scenario:
+    # validation: gospa without Q, on a scenario that has no q_matrix
     res = run_cli(["gospa", "--scenario", FIG, "--x-hat=-4,3",
                    "--output", str(tmp_path / "z.csv")])
     assert res.returncode == 1
@@ -335,6 +333,35 @@ def test_q_scenario_without_q_matrix_exits_1(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["top", "field"])
+def test_a_scenario_nested_too_deep_to_parse_exits_1(where, tmp_path, capsys):
+    import mospa.cli as cli
+
+    deep = "[" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep if where == "top" else '{"n_targets": 2, "mixture": ' + deep)
+    code = cli.run(["mospa", "--scenario", str(path), "--x-hat=-4,3",
+                    "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("validation error: not valid JSON")
+
+
+@pytest.mark.parametrize("command, flags, code, message", [
+    pytest.param("mospa", [], 1, "requires --x-hat", id="x-hat-missing"),
+    pytest.param("mospa", ["--x-hat=-4,three"], 1, "not a comma-separated float list",
+                 id="x-hat-not-floats"),
+    pytest.param("voronoi", ["--x-hat=-4,3", "--bbox=10"], 64, "--bbox expects lo,hi",
+                 id="bbox-without-comma"),
+])
+def test_a_malformed_flag_value_is_refused(command, flags, code, message, tmp_path, capsys):
+    import mospa.cli as cli
+
+    out = tmp_path / "out.csv"
+    assert cli.run([command, "--scenario", FIG, *flags, "--output", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["mospa", "--scenario", FIG, "--x-hat=-4,3", "--samples", "200",
@@ -369,9 +396,12 @@ def test_impossible_allocation_exits_1(tmp_path, capsys):
 def test_estimate_whose_cost_sums_overflow_exits_1(command, tmp_path, capsys):
     import mospa.cli as cli
 
-    # each block cost is finite (~1.7e308) but a sum of 8 of them is not
-    code = cli.run([command, "--scenario", EIGHT, "--x-hat=" + ",".join(["1.3e154"] * 8),
-                    "--samples", "10", "--output", str(tmp_path / "out.csv")])
+    # each block cost is finite (~1.7e308) but a sum of 8 of them is not; the
+    # eight equal blocks make ospa's region_rank column warn first
+    warns = pytest.warns(DegenerateEstimateWarning) if command == "ospa" else nullcontext()
+    with warns:
+        code = cli.run([command, "--scenario", EIGHT, "--x-hat=" + ",".join(["1.3e154"] * 8),
+                        "--samples", "10", "--output", str(tmp_path / "out.csv")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "overflow" in err

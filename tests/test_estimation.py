@@ -787,6 +787,12 @@ def test_scalar_oracle_rejects_vector_targets():
         scalar_sort_oracle(emp)
 
 
+def test_mmospa_rejects_an_init_of_another_shape():
+    emp = EmpiricalMeasure(2, 1, [[0.0, 1.0]], [1.0])
+    with pytest.raises(ValueError, match="init shape"):
+        mmospa_estimate(emp, init=StackedState(1, 2, [0.0, 1.0]))
+
+
 def test_mospa_dimension_mismatch():
     emp = EmpiricalMeasure(2, 1, [[0.0, 1.0]], [1.0])
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_mixture, random_spd, random_x_hat, two_mode_mixture
 from mospa import (
     EmpiricalMeasure,
+    Hyperplane,
     StackedState,
     WeightedSites,
     bisector,
@@ -111,6 +112,27 @@ def test_bisector_points_balance_weighted_distances():
 def test_bisector_rejects_coincident_centroids():
     with pytest.raises(ValueError):
         bisector([1.0, 2.0], [1.0, 2.0], 0.0, 0.0)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: WeightedSites([[0.0, 1.0], [1.0, 0.0]], [0.0]), "equal length",
+                 id="sites-lengths"),
+    pytest.param(lambda: WeightedSites([[0.0, 1.0], [0.0, 1.0]], [0.0, 1.0]),
+                 "pairwise distinct", id="coincident-sites"),
+    pytest.param(lambda: Hyperplane([0.0, 0.0], 1.0), "positive norm", id="zero-normal"),
+    pytest.param(lambda: bisector([0.0, 1.0], [1.0, 0.0, 2.0], 0.0, 0.0), "share a dimension",
+                 id="bisector-dimensions"),
+])
+def test_inconsistent_geometry_is_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_cells_match_regions_is_1_when_every_sample_ties():
+    # both samples lie on the swap boundary x0 = x1 of the estimate (-4, 3),
+    # inside the tie band, so no sample is left to disagree
+    emp = EmpiricalMeasure(2, 1, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    assert cells_match_regions(StackedState(2, 1, [-4.0, 3.0]), emp) == 1.0
 
 
 def test_cells_match_regions_equal_weights():

@@ -322,6 +322,28 @@ def test_non_finite_values_are_rejected(build, field):
         build()
 
 
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: GaussianMixture.from_components(
+        1, 2, [(1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])]), "not symmetric",
+        id="asymmetric-covariance"),
+    pytest.param(lambda: EmpiricalMeasure(1, 1, [[0.0], [1.0]], [1.0]), "equal length",
+                 id="empirical-lengths"),
+    pytest.param(lambda: DiscreteMeasure(1, 1, [[0.0], [1.0]], [1.0]), "equal length",
+                 id="discrete-lengths"),
+    pytest.param(lambda: DiscreteMeasure(1, 1, [[0.0], [1.0]], [1.5, -0.5]), "nonnegative",
+                 id="negative-mass"),
+    pytest.param(lambda: DiscreteMeasure(1, 1, [[0.0], [1.0]], [0.5, 0.25]), "expected 1 within",
+                 id="mass-sum"),
+    pytest.param(lambda: TransportPlan([[0.75, -0.25], [-0.25, 0.75]], [0.5, 0.5], [0.5, 0.5]),
+                 "nonnegative", id="negative-flows"),
+    pytest.param(lambda: gm_sample(two_mode_mixture(), 0, 0), "sample count must be positive",
+                 id="no-samples"),
+])
+def test_an_inconsistent_measure_is_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_discrete_measure_rejects_duplicate_atoms():
     with pytest.raises(ValueError):
         DiscreteMeasure(1, 1, [[1.0], [1.0]], [0.5, 0.5])

@@ -84,6 +84,8 @@ def test_gospa_rejects_bad_weights():
         gospa(x, y, np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(UnsupportedMetricError):
         gospa(x, y, np.array([[2.0, 0.3], [0.3, 2.0]]))
+    with pytest.raises(ValueError, match="requires a weight matrix"):
+        gospa(x, y, None)
 
 
 def test_region_examples_from_the_two_target_diagram():

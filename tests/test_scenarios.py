@@ -50,6 +50,29 @@ def test_seed_limited_to_64_bits(tmp_path):
         parse_scenario(write_scenario(tmp_path, dict(MINIMAL, seed=2**64)))
 
 
+# a file nested deeper than the parser's recursion limit, at the top level
+# and under a field, is as malformed as one that is not JSON at all
+_DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("text, match", [
+    pytest.param("{", "not valid JSON", id="truncated"),
+    pytest.param(_DEEP, "not valid JSON", id="nested-top"),
+    pytest.param('{"n_targets": 1, "mixture": ' + _DEEP, "not valid JSON", id="nested-field"),
+    pytest.param("[1, 2]", "top level must be a JSON object", id="array"),
+])
+def test_an_unreadable_file_is_refused(tmp_path, text, match):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioParseError, match=match):
+        parse_scenario(path)
+
+
+def test_scenario_refuses_a_count_below_one():
+    with pytest.raises(ValueError, match="sample_count must be positive"):
+        Scenario(2, 1, two_mode_mixture(1.0), seed=0, sample_count=0)
+
+
 def test_missing_field_names_path(tmp_path):
     bad = {k: v for k, v in MINIMAL.items() if k != "sample_count"}
     with pytest.raises(ScenarioParseError, match="sample_count"):
@@ -90,6 +113,7 @@ def test_bad_q_matrix_rejected(tmp_path):
     ("q_matrix", {"a": 1}, "q_matrix"),
     ("q_matrix", [["1"]], "q_matrix"),
     ("q_matrix", [[1.0, 0.0]], "q_matrix"),
+    ("mean", [10**400], r"mixture\[0\]\.mean"),  # an int beyond any float
 ])
 def test_malformed_field_names_its_path(tmp_path, field, value, path):
     bad = json.loads(json.dumps(MINIMAL))

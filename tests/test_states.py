@@ -38,6 +38,21 @@ def test_apply_rejects_size_mismatch():
         permutation_apply(Permutation((0, 2, 1)), x)
 
 
+def test_compose_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="different sizes"):
+        Permutation((1, 0)).compose(Permutation((0, 2, 1)))
+
+
+def test_stacked_state_refuses_no_targets():
+    with pytest.raises(ValueError, match="must be positive"):
+        StackedState(0, 1, [])
+
+
+def test_stacked_state_flattens_a_column_of_blocks():
+    x = StackedState(2, 1, [[0.0], [1.0]])
+    assert x.data.shape == (2,) and np.array_equal(x.data, [0.0, 1.0])
+
+
 def test_enumerate_small_cases():
     assert [p.mapping for p in permutation_enumerate(1)] == [(0,)]
     assert [p.mapping for p in permutation_enumerate(2)] == [(0, 1), (1, 0)]

@@ -254,14 +254,17 @@ def test_coupling_cost_rejects_infeasible_plan(flows, match):
     pytest.param([[1.0, 0.5], [0.0, 1.0]], id="asymmetric"),
     pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
     pytest.param([[-1.0, 0.0], [0.0, -1.0]], id="negative-definite"),
+    pytest.param([[1.0]], id="wrong-shape"),
+    pytest.param([[1.0, 0.0], [0.0, np.inf]], id="non-finite"),
 ])
 def test_both_transport_entry_points_refuse_a_bad_q(q):
     emp = EmpiricalMeasure(1, 2, [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     nu = DiscreteMeasure(1, 2, [[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])
     plan = TransportPlan(np.outer(emp.weights, nu.masses), emp.weights, nu.masses)
-    with pytest.raises(ValueError, match="symmetric|positive definite"):
+    refusal = "symmetric|positive definite|must be 2x2|must be finite"
+    with pytest.raises(ValueError, match=refusal):
         coupling_cost(plan, emp, nu, np.array(q))
-    with pytest.raises(ValueError, match="symmetric|positive definite"):
+    with pytest.raises(ValueError, match=refusal):
         solve_transport(emp, nu, np.array(q))
 
 
@@ -928,6 +931,54 @@ def test_row_cache_is_exact_or_a_bound_at_every_pivot_at_a_tiny_cost_scale(
                                           normalized_weights(rng, 6))[3]
     assert run["selections"] == pivots + 20 and run["stops"] == 20
     assert any(run["fell"]) and not all(run["fell"]) and run["stale"] > 0
+
+
+def _staircase(rng, m, k):
+    """(cost, a, b) on which the greedy start is one long staircase: source
+    i's home sink i k // m costs below 1e-3, the next sink about 0.9 and any
+    other about 1.  Each sink spills into the next one, so along the start's
+    path every sink's potential lies about 0.9 above the last one's."""
+    src = np.arange(m)
+    home = src * k // m
+    cost = 1.0 + 1e-3 * rng.random((m, k))
+    cost[src, home] = 1e-3 * rng.random(m)
+    nxt = home + 1 < k
+    cost[src[nxt], home[nxt] + 1] = 0.9 + 1e-3 * rng.random(int(nxt.sum()))
+    return cost, np.full(m, 1.0 / m), np.full(k, 1.0 / k)
+
+
+def test_row_cache_is_exact_or_a_bound_at_every_pivot_when_potentials_dwarf_the_costs(
+        monkeypatch):
+    # potentials of ~90 times the largest cost: the rounding of a shifted
+    # entry then outgrows a margin drawn from the costs alone, and only the
+    # (m + k + 1) factor for the potentials keeps every stale row a bound
+    reprice, largest = transport._reprice, []
+
+    def recording(*args):
+        u, v = args[4], args[5]
+        largest.append(max(np.abs(u).max(), np.abs(v).max()))
+        return reprice(*args)
+
+    monkeypatch.setattr(transport, "_reprice", recording)
+    run = check_every_pivot(monkeypatch)
+    rng = np.random.default_rng(5)
+    pivots = sum(_transportation_simplex(*_staircase(rng, 201, 100))[3] for _ in range(2))
+    assert run["selections"] == pivots + 2 and run["stops"] == 2
+    assert max(largest) > 80 and run["stale"] > 0
+
+
+def test_pricing_recomputes_few_rows_on_a_region_problem(monkeypatch, region_problem):
+    # the pricing work on real-valued costs: the pivots, and every row that
+    # _exact_rows recomputes, the start's full pass included
+    exact_rows, recomputed = transport._exact_rows, []
+
+    def counting(rows, *args):
+        recomputed.append(rows.size)
+        return exact_rows(rows, *args)
+
+    monkeypatch.setattr(transport, "_exact_rows", counting)
+    assert _transportation_simplex(*region_problem)[3] == 238
+    assert sum(recomputed) <= 47405
 
 
 def test_a_source_without_a_finite_cost_stops_at_the_pivot_cap(monkeypatch):
